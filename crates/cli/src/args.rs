@@ -6,17 +6,24 @@ use std::collections::HashMap;
 #[derive(Debug, Default)]
 pub struct Args {
     values: HashMap<String, String>,
+    /// The flags the subcommand reads; every other flag is refused.
+    known: Vec<&'static str>,
 }
 
 impl Args {
-    /// Parse a flat list of `--key value` pairs.
-    pub fn parse(raw: &[String]) -> Result<Self, String> {
+    /// Parse a flat list of `--key value` pairs, refusing any flag not in
+    /// `known` — a misspelled or retired flag is an error, never a silent
+    /// default.
+    pub fn parse(raw: &[String], known: Vec<&'static str>) -> Result<Self, String> {
         let mut values = HashMap::new();
         let mut iter = raw.iter();
         while let Some(key) = iter.next() {
             let Some(name) = key.strip_prefix("--") else {
                 return Err(format!("expected --flag, got '{key}'"));
             };
+            if !known.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
+            }
             let Some(value) = iter.next() else {
                 return Err(format!("flag --{name} needs a value"));
             };
@@ -24,25 +31,33 @@ impl Args {
                 return Err(format!("flag --{name} given twice"));
             }
         }
-        Ok(Self { values })
+        Ok(Self { values, known })
+    }
+
+    /// The raw value of `name`, which the subcommand must have declared.
+    fn get(&self, name: &str) -> Option<&String> {
+        debug_assert!(
+            self.known.contains(&name),
+            "--{name} is read but missing from the subcommand's USAGE entry"
+        );
+        self.values.get(name)
     }
 
     /// A required string argument.
     pub fn required(&self, name: &str) -> Result<&str, String> {
-        self.values
-            .get(name)
+        self.get(name)
             .map(String::as_str)
             .ok_or_else(|| format!("missing required flag --{name}"))
     }
 
     /// An optional string argument.
     pub fn optional(&self, name: &str) -> Option<&str> {
-        self.values.get(name).map(String::as_str)
+        self.get(name).map(String::as_str)
     }
 
     /// A parsed argument with a default.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.values.get(name) {
+        match self.get(name) {
             None => Ok(default),
             Some(raw) => raw
                 .parse()
@@ -60,7 +75,7 @@ impl Args {
     /// An optional parsed argument: `None` when absent, an error when
     /// present but unparsable.
     pub fn get_optional<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
-        match self.values.get(name) {
+        match self.get(name) {
             None => Ok(None),
             Some(raw) => raw
                 .parse()
@@ -74,13 +89,16 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn strings(raw: &[&str]) -> Vec<String> {
-        raw.iter().map(|s| (*s).to_owned()).collect()
+    const KNOWN: &[&str] = &["users", "out", "topics", "absent", "a", "n"];
+
+    fn parse(raw: &[&str]) -> Result<Args, String> {
+        let raw: Vec<String> = raw.iter().map(|s| (*s).to_owned()).collect();
+        Args::parse(&raw, KNOWN.to_vec())
     }
 
     #[test]
     fn parses_key_value_pairs() {
-        let args = Args::parse(&strings(&["--users", "300", "--out", "w.json"])).unwrap();
+        let args = parse(&["--users", "300", "--out", "w.json"]).unwrap();
         assert_eq!(args.required("out").unwrap(), "w.json");
         assert_eq!(args.get_or("users", 0u32).unwrap(), 300);
         assert_eq!(args.get_or("topics", 7usize).unwrap(), 7);
@@ -89,14 +107,22 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        assert!(Args::parse(&strings(&["users", "300"])).is_err());
-        assert!(Args::parse(&strings(&["--users"])).is_err());
-        assert!(Args::parse(&strings(&["--a", "1", "--a", "2"])).is_err());
+        assert!(parse(&["users", "300"]).is_err());
+        assert!(parse(&["--users"]).is_err());
+        assert!(parse(&["--a", "1", "--a", "2"]).is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_flags() {
+        let err = parse(&["--users", "3", "--topcis", "8"]).unwrap_err();
+        assert_eq!(err, "unknown flag --topcis");
+        // Refused before its missing value is noticed.
+        assert_eq!(parse(&["--usres"]).unwrap_err(), "unknown flag --usres");
     }
 
     #[test]
     fn reports_missing_and_unparsable() {
-        let args = Args::parse(&strings(&["--n", "abc"])).unwrap();
+        let args = parse(&["--n", "abc"]).unwrap();
         assert!(args.required("out").is_err());
         assert!(args.get_or("n", 1u32).is_err());
         assert!(args.get_required::<u32>("n").is_err());

@@ -32,8 +32,8 @@ USAGE:
   cold eval      --model <model.json> --data <world.json> [--seed S]
   cold serve     --model <model.cold> [--addr HOST:PORT | --port P]
                  [--workers N] [--top-comm N] [--rank-depth N]
-                 [--data <world.json>] [--batch-max N] [--batch-wait-us U]
-                 [--max-body BYTES] [--max-conns N] [--max-queue N]
+                 [--data <world.json>] [--max-body BYTES]
+                 [--max-conns N] [--max-queue N]
                  [--io-mode threads|epoll] [--io-threads N]
                  [--request-timeout-ms MS] [--respawn-limit N]
                  [--watch-model-ms MS] [--chaos true]
@@ -41,6 +41,26 @@ USAGE:
   cold ckpt-inspect  --dir <checkpoint-dir>
   cold replay-check  --trace <t1.jsonl[,t2.jsonl,…]> [--fuzz N] [--seed S]
   cold help";
+
+/// The flags `cold <command>` accepts: exactly those its `USAGE` entry
+/// lists, so the help text and the parser cannot disagree. `None` for an
+/// unknown command.
+pub fn flags(command: &str) -> Option<Vec<&'static str>> {
+    let command = if matches!(command, "--help" | "-h") {
+        "help"
+    } else {
+        command
+    };
+    let entry = USAGE
+        .split("\n  cold ")
+        .skip(1)
+        .find(|entry| entry.split_whitespace().next() == Some(command))?;
+    let flags = entry.split_whitespace().filter_map(|word| {
+        let flag = word.trim_start_matches('[').strip_prefix("--")?;
+        Some(flag.trim_end_matches(']'))
+    });
+    Some(flags.collect())
+}
 
 type CliResult = Result<(), String>;
 
@@ -637,8 +657,6 @@ pub fn serve(args: &Args) -> CliResult {
         io_mode,
         io_threads: args.get_or("io-threads", defaults.io_threads)?,
         workers: args.get_or("workers", 8usize)?,
-        batch_max: args.get_or("batch-max", 32usize)?,
-        batch_wait: std::time::Duration::from_micros(args.get_or("batch-wait-us", 500u64)?),
         max_body: args.get_or("max-body", 1usize << 20)?,
         max_conns: args.get_or("max-conns", defaults.max_conns)?,
         max_queue: args.get_or("max-queue", defaults.max_queue)?,
@@ -671,4 +689,19 @@ pub fn serve(args: &Args) -> CliResult {
     server.join();
     println!("cold-serve: drained and stopped");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::flags;
+
+    #[test]
+    fn flags_come_from_each_commands_usage_entry() {
+        assert_eq!(flags("ckpt-inspect").unwrap(), ["dir"]);
+        assert_eq!(flags("replay-check").unwrap(), ["trace", "fuzz", "seed"]);
+        assert_eq!(flags("serve").unwrap()[..3], ["model", "addr", "port"]);
+        assert!(flags("serve").unwrap().contains(&"chaos"));
+        assert!(flags("-h").unwrap().is_empty());
+        assert!(flags("nope").is_none());
+    }
 }

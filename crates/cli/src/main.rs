@@ -25,7 +25,11 @@ fn main() {
         eprintln!("{}", commands::USAGE);
         std::process::exit(2);
     };
-    let args = match Args::parse(rest) {
+    let Some(known) = commands::flags(command) else {
+        eprintln!("unknown command '{command}'\n\n{}", commands::USAGE);
+        std::process::exit(2);
+    };
+    let args = match Args::parse(rest, known) {
         Ok(args) => args,
         Err(err) => {
             eprintln!("error: {err}\n\n{}", commands::USAGE);
@@ -48,10 +52,7 @@ fn main() {
             println!("{}", commands::USAGE);
             Ok(())
         }
-        other => {
-            eprintln!("unknown command '{other}'\n\n{}", commands::USAGE);
-            std::process::exit(2);
-        }
+        other => unreachable!("commands::flags lists '{other}' but main does not dispatch it"),
     };
     if let Err(err) = result {
         eprintln!("error: {err}");

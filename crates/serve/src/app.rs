@@ -4,8 +4,9 @@
 //! [`ModelView`], the precomputed [`DiffusionPredictor`], the per-topic
 //! influencer rankings, the optional vocabulary, and the metrics handle —
 //! and exposes one method per endpoint returning `(status, json)`.
-//! Transport (sockets, framing, batching) lives in [`crate::server`]; this
-//! module never touches a socket, which is what makes it unit-testable.
+//! Transport (sockets, framing, the scorer queue) lives in
+//! [`crate::server`]; this module never touches a socket, which is what
+//! makes it unit-testable.
 
 use crate::http::json_escape;
 use cold_core::{DiffusionPredictor, ModelRead, ModelView, PersistError, PredictError};
@@ -168,7 +169,7 @@ impl App {
         &self.model_path
     }
 
-    /// The predictor (the batcher scores through it directly).
+    /// The predictor (the scorer threads score through it directly).
     pub fn predictor(&self) -> &DiffusionPredictor<Arc<ModelView>> {
         &self.predictor
     }
@@ -215,7 +216,7 @@ impl App {
         Ok((publisher, consumer, words))
     }
 
-    /// Render a `/predict` result (the batcher produced the score).
+    /// Render a `/predict` result (a scorer thread produced the score).
     pub fn predict_response(
         &self,
         publisher: u32,

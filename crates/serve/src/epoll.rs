@@ -639,6 +639,7 @@ impl EventLoop {
                     consumer,
                     words,
                     deadline: conn.clock.deadline(),
+                    enqueued: Instant::now(),
                     reply: ReplySink::Loop(CompletionSink {
                         shared: Arc::clone(&self.shared),
                         conn: id,

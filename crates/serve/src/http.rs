@@ -2,11 +2,12 @@
 //!
 //! Just enough of RFC 9112 for a JSON API: request-line + headers +
 //! `Content-Length` bodies on the way in, fixed-length responses on the
-//! way out. No chunked transfer, no TLS, no pipelining (requests on a
-//! connection are handled strictly in order, which is what every
-//! mainstream client does anyway). Keep-alive follows the HTTP/1.1
-//! default (persistent unless `Connection: close`; HTTP/1.0 is the
-//! reverse).
+//! way out. No chunked transfer and no TLS. Pipelined requests are
+//! served, strictly in order, by both transports: the blocking reader
+//! takes them one at a time off a buffered stream, and [`try_parse`]
+//! consumes them from the front of its buffer. Keep-alive follows the
+//! HTTP/1.1 default (persistent unless `Connection: close`; HTTP/1.0 is
+//! the reverse).
 //!
 //! Two consumers share the grammar. The blocking path
 //! ([`read_request`]) polls with a short socket timeout so a worker
@@ -33,12 +34,12 @@ const MAX_HEADERS: usize = 64;
 ///
 /// A fresh clock is created for every request on a connection: time spent
 /// *idle* on a keep-alive connection costs nothing, but once the client
-/// has started sending a request, the whole parse → batch → reply span
+/// has started sending a request, the whole parse → score → reply span
 /// must finish inside the configured timeout. The read loops check
 /// [`RequestClock::expired`] at every socket-timeout poll, so a slowloris
 /// writer is cut off within one poll interval of the deadline; the
 /// handler path checks [`RequestClock::remaining`] before waiting on the
-/// batcher.
+/// scorer.
 #[derive(Debug, Clone)]
 pub struct RequestClock {
     timeout: Option<Duration>,

@@ -31,23 +31,25 @@
 //! rankings); [`server::Server`] owns the sockets through one of two
 //! transports ([`server::IoMode`]). The default thread transport runs an
 //! acceptor feeding a fixed worker pool, one thread per live connection,
-//! with `/predict` scoring micro-batched on a single batcher thread. The
-//! epoll transport (Linux; [`ServeConfig::io_threads`]) multiplexes every
-//! connection onto a few event loops over a hand-rolled `epoll`/`eventfd`
-//! binding — nonblocking per-connection state machines, buffered writes,
-//! deadlines enforced by timer ticks — and the worker pool becomes pure
-//! CPU scorers, so thread count no longer scales with connections.
-//! [`client::HttpClient`] is the minimal persistent keep-alive client
-//! used by the integration tests and the `bench_serve` load generator
-//! (reconnects are counted, not silent). Latency lands in
-//! `serve.*_seconds` histograms (p50/p95/p99) via `cold-obs`.
+//! with `/predict` jobs queued to a scorer thread that scores each as
+//! soon as it takes it. The epoll transport (Linux;
+//! [`ServeConfig::io_threads`]) multiplexes every connection onto a few
+//! event loops over a hand-rolled `epoll`/`eventfd` binding — nonblocking
+//! per-connection state machines, buffered writes, deadlines enforced by
+//! timer ticks — and the worker pool becomes pure CPU scorers, so thread
+//! count no longer scales with connections. [`client::HttpClient`] is the
+//! minimal persistent keep-alive client used by the integration tests and
+//! the `bench_serve` load generator (reconnects are counted, not silent).
+//! Latency lands in `serve.*_seconds` histograms (p50/p95/p99) via
+//! `cold-obs`; every `/predict` job also records its queue wait and score
+//! time (`serve.stage.queue_seconds`, `serve.stage.score_seconds`).
 //!
 //! ## Robustness
 //!
 //! The transport layer is built to survive hostile networks and its own
 //! bugs: bounded connection and predict queues shed overload with `503` +
 //! `Retry-After` ([`ServeConfig::max_conns`] / [`ServeConfig::max_queue`]),
-//! a per-request deadline covers parse → batch → reply
+//! a per-request deadline covers parse → score → reply
 //! ([`ServeConfig::request_timeout`]), panicking handlers are contained
 //! per-connection and crashed workers respawned under a breaker
 //! ([`ServeConfig::respawn_limit`]), and `POST /reload` atomically swaps

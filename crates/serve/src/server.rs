@@ -1,4 +1,4 @@
-//! The transport layer: listener, worker pool, batcher, supervisor,
+//! The transport layer: listener, worker pool, scorer, supervisor,
 //! shutdown.
 //!
 //! Two transports share this module's routing and accounting
@@ -15,9 +15,9 @@
 //!    (sheds 503)     │ channel │              │   ...    │  │ PredictJob
 //!                    └─────────┘              │ worker N │──┤ (bounded)
 //!                                             └──────────┘  ▼
-//!                                               ▲       ┌─────────┐
-//!                                    supervisor ┘       │ batcher │
-//!                                  (respawns on panic)  └─────────┘
+//!                                               ▲       ┌────────┐
+//!                                    supervisor ┘       │ scorer │
+//!                                  (respawns on panic)  └────────┘
 //! ```
 //!
 //! * **Acceptor** — one thread on `accept()`; accepted connections go
@@ -30,24 +30,23 @@
 //!   handling runs under `catch_unwind`: a panicking handler costs that
 //!   connection a `500`, never the worker. Each request runs against the
 //!   app the [`AppSlot`] held at dispatch, and under a deadline
-//!   ([`ServeConfig::request_timeout`]) spanning parse → batch → reply.
+//!   ([`ServeConfig::request_timeout`]) spanning parse → score → reply.
 //! * **Supervisor** — watches the pool and respawns workers whose panics
 //!   escape the per-connection catch (`serve.worker_respawns`). A capped
 //!   respawn breaker ([`ServeConfig::respawn_limit`]) stops a
 //!   crash-loop: past the cap the pool is left shrunken and `/healthz`
 //!   flips to `503 degraded` so load balancers route away.
-//! * **Batcher** — one thread that drains `/predict` jobs into
-//!   micro-batches (up to `batch_max` jobs or `batch_wait`, whichever
-//!   first), scores them back-to-back, and answers each job's reply
-//!   channel. Jobs carry their dispatch-time `Arc<App>`, so a hot reload
-//!   mid-batch cannot change what an in-flight job scores against.
+//! * **Scorer** — one thread that takes `/predict` jobs off the bounded
+//!   queue one at a time, scores each as soon as it takes it, and answers
+//!   the job's reply channel. Jobs carry their dispatch-time `Arc<App>`,
+//!   so a hot reload cannot change what a queued job scores against.
 //! * **Watcher** (optional) — polls the serving artifact for changes
 //!   (`--watch-model`) and triggers the same verified reload as
 //!   `POST /reload`.
 //! * **Shutdown** — `POST /shutdown` (or [`Server::shutdown`]) raises a
 //!   flag; the acceptor is woken by a self-connection and stops; workers
 //!   finish their in-flight request, answer with `connection: close`, and
-//!   exit; the supervisor joins them; the batcher drains and exits when
+//!   exit; the supervisor joins them; the scorer drains and exits when
 //!   the last job sender hangs up.
 
 use crate::app::{App, AppSlot, ServeError};
@@ -116,13 +115,9 @@ pub struct ServeConfig {
     pub io_threads: usize,
     /// Scoring threads. In [`IoMode::Threads`] each also owns the
     /// connection it is serving (the concurrency bound); in
-    /// [`IoMode::Epoll`] they form a pure CPU pool draining `/predict`
-    /// micro-batches.
+    /// [`IoMode::Epoll`] they form a pure CPU pool scoring `/predict`
+    /// jobs.
     pub workers: usize,
-    /// Max `/predict` jobs scored per micro-batch.
-    pub batch_max: usize,
-    /// Max time the batcher waits to fill a batch once it holds a job.
-    pub batch_wait: Duration,
     /// Request body cap in bytes (`413` beyond it).
     pub max_body: usize,
     /// Open-connection bound. In [`IoMode::Threads`] it bounds the
@@ -133,9 +128,9 @@ pub struct ServeConfig {
     /// Predict-job queue bound: jobs beyond this are shed with `503` +
     /// `Retry-After` (`serve.shed_jobs`).
     pub max_queue: usize,
-    /// Per-request deadline covering parse → batch → reply, armed by the
+    /// Per-request deadline covering parse → score → reply, armed by the
     /// request's first byte. `Duration::ZERO` disables it. A stalled
-    /// upload gets `408`; a reply the batcher cannot produce in time gets
+    /// upload gets `408`; a reply the scorers cannot produce in time gets
     /// `503` + `Retry-After`; response writes are bounded by the same
     /// budget via `set_write_timeout`.
     pub request_timeout: Duration,
@@ -159,8 +154,6 @@ impl Default for ServeConfig {
             io_mode: IoMode::default(),
             io_threads: 2,
             workers: 8,
-            batch_max: 32,
-            batch_wait: Duration::from_micros(500),
             max_body: 1024 * 1024,
             max_conns: 1024,
             max_queue: 1024,
@@ -198,6 +191,8 @@ pub(crate) struct PredictJob {
     pub(crate) words: Vec<WordId>,
     /// Request deadline; the scorer skips jobs that expired in-queue.
     pub(crate) deadline: Option<Instant>,
+    /// When the job entered the queue (`serve.stage.queue_seconds`).
+    pub(crate) enqueued: Instant,
     pub(crate) reply: ReplySink,
 }
 
@@ -354,7 +349,7 @@ pub struct Server {
     shutdown: Arc<ShutdownFlag>,
     acceptor: Option<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
+    scorer: Option<JoinHandle<()>>,
     watcher: Option<JoinHandle<()>>,
 }
 
@@ -455,16 +450,14 @@ impl Server {
         // Bounded connection queue, drained by the worker pool.
         let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(config.max_conns.max(1));
 
-        let batcher = {
+        let scorer = {
             let metrics = svc.metrics.clone();
-            let batch_max = config.batch_max.max(1);
-            let batch_wait = config.batch_wait;
             let job_rx = Mutex::new(job_rx);
             std::thread::Builder::new()
-                .name("cold-serve-batcher".into())
-                .spawn(move || scorer_loop(&metrics, &job_rx, batch_max, batch_wait, None))
+                .name("cold-serve-scorer".into())
+                .spawn(move || scorer_loop(&metrics, &job_rx, None))
                 .map_err(|source| ServeError::Io {
-                    context: "cannot spawn batcher thread".to_owned(),
+                    context: "cannot spawn scorer thread".to_owned(),
                     source,
                 })?
         };
@@ -526,7 +519,7 @@ impl Server {
             shutdown: Arc::clone(&svc.shutdown),
             acceptor: Some(acceptor),
             supervisor: Some(supervisor),
-            batcher: Some(batcher),
+            scorer: Some(scorer),
             watcher,
         })
     }
@@ -554,17 +547,15 @@ impl Server {
                 source,
             })?;
 
-        // Scorer pool: `workers` threads draining micro-batches, each
-        // respawnable by the supervisor under the same breaker as the
-        // thread transport's workers.
+        // Scorer pool: `workers` threads taking jobs off the shared
+        // queue, each respawnable by the supervisor under the same
+        // breaker as the thread transport's workers.
         let job_rx = Arc::new(Mutex::new(job_rx));
         let scorer_names = Arc::new(AtomicUsize::new(0));
         let spawn_scorer = {
             let metrics = svc.metrics.clone();
             let shutdown = Arc::clone(&svc.shutdown);
             let live_loops = Arc::clone(&live_loops);
-            let batch_max = config.batch_max.max(1);
-            let batch_wait = config.batch_wait;
             move || -> std::io::Result<JoinHandle<()>> {
                 let id = scorer_names.fetch_add(1, Ordering::Relaxed);
                 let metrics = metrics.clone();
@@ -573,15 +564,7 @@ impl Server {
                 let live_loops = Arc::clone(&live_loops);
                 std::thread::Builder::new()
                     .name(format!("cold-serve-scorer-{id}"))
-                    .spawn(move || {
-                        scorer_loop(
-                            &metrics,
-                            &job_rx,
-                            batch_max,
-                            batch_wait,
-                            Some((&shutdown, &live_loops)),
-                        )
-                    })
+                    .spawn(move || scorer_loop(&metrics, &job_rx, Some((&shutdown, &live_loops))))
             }
         };
         let mut scorers = Vec::with_capacity(config.workers.max(1));
@@ -614,7 +597,7 @@ impl Server {
             shutdown: Arc::clone(&svc.shutdown),
             acceptor: None,
             supervisor: Some(supervisor),
-            batcher: None,
+            scorer: None,
             watcher,
         })
     }
@@ -653,7 +636,7 @@ impl Server {
         if let Some(h) = self.watcher.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.batcher.take() {
+        if let Some(h) = self.scorer.take() {
             let _ = h.join();
         }
     }
@@ -966,7 +949,7 @@ fn serve_connection(ctx: &ServiceCtx, stream: &TcpStream) -> ConnOutcome {
     let mut reader = BufReader::new(stream);
     loop {
         // A fresh deadline per request: idle keep-alive time is free, but
-        // once the first byte lands the whole parse → batch → reply span
+        // once the first byte lands the whole parse → score → reply span
         // runs on the clock.
         let mut clock = RequestClock::new(ctx.request_timeout);
         let request =
@@ -1213,6 +1196,7 @@ fn predict(
         consumer,
         words,
         deadline,
+        enqueued: Instant::now(),
         reply: ReplySink::Channel(reply_tx),
     });
     match ctx.job_tx.try_send(job) {
@@ -1238,7 +1222,7 @@ fn predict(
             )
         }
     }
-    // Wait no longer than the request deadline allows: a stalled batcher
+    // Wait no longer than the request deadline allows: a stalled scorer
     // becomes a clean 503, never a hung client slot.
     let wait = clock.remaining().unwrap_or(Duration::from_secs(3600));
     match reply_rx.recv_timeout(wait) {
@@ -1266,14 +1250,12 @@ fn predict(
     }
 }
 
-/// Drain jobs into micro-batches and score them, each against the app it
-/// was dispatched with. One body serves both transports: the thread
-/// transport runs a single instance (the batcher), the epoll transport
-/// runs `workers` instances contending on the shared receiver — whoever
-/// wins the lock fills a whole batch, so batching semantics are
-/// unchanged.
+/// Take jobs off the queue one at a time and score each as soon as it is
+/// taken, against the app it was dispatched with. One body serves both
+/// transports: the thread transport runs a single instance, the epoll
+/// transport runs `workers` instances contending on the shared receiver.
 ///
-/// Exit discipline differs by transport. The thread transport's batcher
+/// Exit discipline differs by transport. The thread transport's scorer
 /// exits only when every job sender hangs up (`Disconnected`): workers
 /// still submit jobs while draining in-flight requests, so shutdown
 /// alone must not stop scoring. The epoll transport's scorers pass
@@ -1283,78 +1265,141 @@ fn predict(
 fn scorer_loop(
     metrics: &Metrics,
     job_rx: &Mutex<mpsc::Receiver<Job>>,
-    batch_max: usize,
-    batch_wait: Duration,
     drain_exit: Option<(&ShutdownFlag, &AtomicUsize)>,
 ) {
-    let mut batch: Vec<PredictJob> = Vec::with_capacity(batch_max);
     loop {
-        let mut poison = false;
-        {
-            // Hold the lock across the whole batch fill: one scorer
-            // collecting a full micro-batch beats N scorers stealing
-            // single jobs (identical to the dedicated-batcher behavior).
-            let rx = job_rx.lock().unwrap_or_else(PoisonError::into_inner);
-            match rx.recv_timeout(POLL_INTERVAL) {
-                Ok(Job::Predict(job)) => batch.push(job),
-                Ok(Job::Poison) => poison = true,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if let Some((shutdown, live_loops)) = drain_exit {
-                        if shutdown.is_set() && live_loops.load(Ordering::Acquire) == 0 {
-                            return;
-                        }
-                    }
-                    continue;
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => return,
-            }
-            if !poison {
-                let deadline = Instant::now() + batch_wait;
-                while batch.len() < batch_max {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    match rx.recv_timeout(deadline - now) {
-                        Ok(Job::Predict(job)) => batch.push(job),
-                        Ok(Job::Poison) => {
-                            poison = true;
-                            break;
-                        }
-                        Err(_) => break,
+        // The lock is held only while waiting for the next job; scoring
+        // runs outside it, so another scorer can take the job behind.
+        let next = job_rx
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .recv_timeout(POLL_INTERVAL);
+        let job = match next {
+            Ok(Job::Predict(job)) => job,
+            // Chaos worker-kill under the epoll transport: die *outside*
+            // the per-job catch so the supervisor respawn path runs.
+            Ok(Job::Poison) => panic!("chaos: injected worker kill"),
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                if let Some((shutdown, live_loops)) = drain_exit {
+                    if shutdown.is_set() && live_loops.load(Ordering::Acquire) == 0 {
+                        return;
                     }
                 }
-            }
-        }
-        if !batch.is_empty() {
-            metrics.observe("serve.batch_size", batch.len() as f64);
-        }
-        for job in batch.drain(..) {
-            // A job that expired while queued is dead weight: its client
-            // already got a 503, so scoring it would only delay live
-            // jobs further. Dropping the reply sink unblocks any
-            // straggler receiver.
-            if job.deadline.is_some_and(|d| Instant::now() >= d) {
-                metrics.counter_add("serve.batch_expired", 1);
                 continue;
             }
-            // Contain scoring panics to the one job: the reply sink
-            // drops, its client gets a 503, and the scorer lives on.
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                job.app
-                    .predictor()
-                    .diffusion_score(job.publisher, job.consumer, &job.words)
-            }));
-            match result {
-                Ok(score) => job.reply.send(score),
-                Err(_) => metrics.counter_add("serve.worker_panics", 1),
-            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => return,
+        };
+        let taken = Instant::now();
+        metrics.observe(
+            "serve.stage.queue_seconds",
+            taken.saturating_duration_since(job.enqueued).as_secs_f64(),
+        );
+        // A job that expired while queued is dead weight: its client
+        // already got a 503, so scoring it would only delay live jobs
+        // further. Dropping the reply sink unblocks any straggler
+        // receiver.
+        if job.deadline.is_some_and(|d| taken >= d) {
+            metrics.counter_add("serve.batch_expired", 1);
+            continue;
         }
-        if poison {
-            // Chaos worker-kill under the epoll transport: every real job
-            // in the batch was answered above; now die *outside* the
-            // per-job catch so the supervisor respawn path runs.
-            panic!("chaos: injected worker kill");
+        // Contain scoring panics to the one job: the reply sink drops,
+        // its client gets a 503, and the scorer lives on.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            job.app
+                .predictor()
+                .diffusion_score(job.publisher, job.consumer, &job.words)
+        }));
+        metrics.observe("serve.stage.score_seconds", taken.elapsed().as_secs_f64());
+        match result {
+            Ok(score) => job.reply.send(score),
+            Err(_) => metrics.counter_add("serve.worker_panics", 1),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cold_core::{ColdConfig, GibbsSampler, ModelFormat};
+    use cold_graph::CsrGraph;
+    use cold_text::CorpusBuilder;
+
+    /// A tiny two-block model, trained and opened the way `cold serve`
+    /// opens an artifact.
+    fn tiny_app(metrics: Metrics) -> Arc<App> {
+        let mut b = CorpusBuilder::new();
+        for u in 0..3u32 {
+            b.push_text(u, 0, &["football", "goal", "match"]);
+        }
+        for u in 3..6u32 {
+            b.push_text(u, 1, &["film", "oscar", "actor"]);
+        }
+        let corpus = b.build();
+        let graph = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
+        let config = ColdConfig::builder(2, 2)
+            .iterations(10)
+            .build(&corpus, &graph);
+        let model = GibbsSampler::new(&corpus, &graph, config, 3).run();
+        let dir = std::env::temp_dir().join(format!("cold_scorer_loop_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.cold");
+        model.save_as(&path, ModelFormat::Binary).unwrap();
+        let app = App::load(&path, 2, 4, None, metrics).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        Arc::new(app)
+    }
+
+    #[test]
+    fn scorer_skips_expired_answers_live_and_dies_on_poison_last() {
+        let metrics = Metrics::enabled();
+        let app = tiny_app(metrics.clone());
+        let job = |deadline, reply| {
+            Job::Predict(PredictJob {
+                app: Arc::clone(&app),
+                publisher: 0,
+                consumer: 1,
+                words: vec![0, 1],
+                deadline,
+                enqueued: Instant::now(),
+                reply: ReplySink::Channel(reply),
+            })
+        };
+        let (job_tx, job_rx) = mpsc::sync_channel(4);
+        let (expired_tx, expired_rx) = mpsc::sync_channel(1);
+        let (live_tx, live_rx) = mpsc::sync_channel(1);
+        // The deadline is already due by the time the scorer takes the job.
+        job_tx.send(job(Some(Instant::now()), expired_tx)).unwrap();
+        job_tx.send(job(None, live_tx)).unwrap();
+        job_tx.send(Job::Poison).unwrap();
+        // With every sender gone, a scorer that ignored the poison would
+        // return instead of hanging the test.
+        drop(job_tx);
+
+        let scorer = {
+            let metrics = metrics.clone();
+            std::thread::spawn(move || scorer_loop(&metrics, &Mutex::new(job_rx), None))
+        };
+        let panic = scorer.join().expect_err("the poison kills the scorer");
+        assert_eq!(
+            panic.downcast_ref::<&str>(),
+            Some(&"chaos: injected worker kill")
+        );
+
+        // Expired: skipped, counted, its reply sink dropped unanswered.
+        assert!(matches!(
+            expired_rx.try_recv(),
+            Err(mpsc::TryRecvError::Disconnected)
+        ));
+        // Live: answered before the poison, bit-identical to the predictor.
+        let want = app.predictor().diffusion_score(0, 1, &[0, 1]).unwrap();
+        let got = live_rx.try_recv().unwrap().unwrap();
+        assert_eq!(got.to_bits(), want.to_bits());
+
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("serve.batch_expired"), 1);
+        assert_eq!(snap.counter("serve.worker_panics"), 0);
+        let count = |name| snap.histogram(name).map_or(0, |h| h.count);
+        assert_eq!(count("serve.stage.queue_seconds"), 2);
+        assert_eq!(count("serve.stage.score_seconds"), 1);
     }
 }

@@ -187,6 +187,17 @@ pub fn counter_in(metrics_body: &str, name: &str) -> u64 {
     0
 }
 
+/// Observation count of one histogram in a `cold-obs/v1` JSONL snapshot
+/// body (0 when absent — histograms only appear after their first
+/// observation).
+pub fn histogram_count_in(metrics_body: &str, name: &str) -> u64 {
+    let needle = format!("\"name\":\"{name}\"");
+    metrics_body
+        .lines()
+        .find(|l| l.contains("\"type\":\"histogram\"") && l.contains(&needle))
+        .map_or(0, |l| num(json(l).get("count").unwrap()) as u64)
+}
+
 pub fn json(body: &str) -> Value {
     serde_json::from_str(body).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e}"))
 }

@@ -99,7 +99,13 @@ fn connections_are_handed_across_io_loops() {
         }
         assert_eq!(reconnects, 0, "keep-alive reuse must hold under epoll");
     }
-    assert_eq!(ts.counter("serve.worker_panics"), 0);
+    let m = ts.client().get("/metrics").unwrap().body;
+    assert_eq!(common::counter_in(&m, "serve.worker_panics"), 0);
+    // 1 + 4 × 10 answers, each timed once per stage by whichever of the
+    // two scorers took it.
+    for stage in ["serve.stage.queue_seconds", "serve.stage.score_seconds"] {
+        assert_eq!(common::histogram_count_in(&m, stage), 41, "{stage}");
+    }
 }
 
 #[test]
@@ -147,6 +153,11 @@ fn split_and_pipelined_requests_parse_incrementally() {
 
     let m = ts.client().get("/metrics").unwrap().body;
     cold_obs::schema::validate_jsonl(&m).unwrap();
+    // The one /predict 200 passed through both scorer stages once.
+    assert_eq!(common::histogram_count_in(&m, "serve.predict_seconds"), 1);
+    for stage in ["serve.stage.queue_seconds", "serve.stage.score_seconds"] {
+        assert_eq!(common::histogram_count_in(&m, stage), 1, "{stage}");
+    }
     assert!(
         common::counter_in(&m, "serve.io_read_partial") >= 1,
         "split request never counted as a partial read"

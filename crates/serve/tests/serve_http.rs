@@ -2,6 +2,8 @@
 //! endpoint, keep-alive reuse, malformed and oversized requests,
 //! concurrent clients, metrics consistency, and graceful shutdown.
 
+mod common;
+
 use cold_core::{ColdConfig, GibbsSampler, ModelFormat};
 use cold_graph::CsrGraph;
 use cold_obs::Metrics;
@@ -334,6 +336,10 @@ fn concurrent_clients_all_get_consistent_answers(mode: IoMode) {
         .expect("predict histogram present");
     let parsed = json(predict_line);
     assert_eq!(num(parsed.get("count").unwrap()) as u64, 101);
+    // Every one of those 200s passed through both scorer stages once.
+    for stage in ["serve.stage.queue_seconds", "serve.stage.score_seconds"] {
+        assert_eq!(common::histogram_count_in(&m, stage), 101, "{stage}");
+    }
     // The snapshot is valid cold-obs/v1 JSONL.
     cold_obs::schema::validate_jsonl(&m).unwrap();
 }

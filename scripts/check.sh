@@ -247,4 +247,12 @@ cargo run -q --release -p cold-bench --bin bench_parallel -- --quick
 echo "== bench_memory --quick =="
 cargo run -q --release -p cold-bench --bin bench_memory -- --quick
 
+echo "== repository benchmark (its unit tests + the --smoke suite) =="
+# The benchmark's correctness checks (answers, AUC, accounting) run
+# against the shipped `cold serve`; a serving change that breaks them
+# fails here. Both steps share run.sh's build directory.
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}"
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --seed 1 --reps 1 --smoke --out "$SMOKE_DIR/bench_smoke.json"
+
 echo "All checks passed."
