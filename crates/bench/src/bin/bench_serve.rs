@@ -21,7 +21,7 @@ use cold_bench::workloads::{cold_hyper, BASE_SEED};
 use cold_core::{ColdConfig, CounterStorage, GibbsSampler, Metrics, ModelFormat};
 use cold_data::{generate, WorldConfig};
 use cold_math::rng::RngFactory;
-use cold_serve::{App, HttpClient, IoMode, ServeConfig, Server};
+use cold_serve::{App, HttpClient, ServeConfig, Server};
 use rand::Rng;
 use serde::Serialize;
 use std::net::SocketAddr;
@@ -32,10 +32,9 @@ use std::time::{Duration, Instant};
 /// axis the prediction path actually iterates over.
 const C: usize = 6;
 const K: usize = 16;
-/// Worker threads — under the thread transport, also the keep-alive
-/// concurrency bound.
+/// Scorer threads.
 const WORKERS: usize = 8;
-/// Event-loop threads for the epoll transport sweep.
+/// Event-loop threads.
 const IO_THREADS: usize = 2;
 
 #[derive(Serialize)]
@@ -69,45 +68,6 @@ struct OverloadPoint {
     p99_ms: f64,
 }
 
-/// One (transport, concurrency) point of the io-mode sweep: keep-alive
-/// `/predict` clients against a server running one transport.
-#[derive(Serialize)]
-struct IoModePoint {
-    io_mode: String,
-    concurrency: usize,
-    duration_seconds: f64,
-    /// `200`s delivered.
-    requests_ok: usize,
-    /// `503` sheds (queue or connection admission).
-    shed: usize,
-    /// Transport-level failures — under the thread transport at
-    /// concurrency beyond the worker pool these are keep-alive
-    /// connections parked in the accept queue until the client timeout.
-    errors: usize,
-    qps: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    /// Server-side `serve.open_conns_peak` after this point. The sweep
-    /// runs concurrency ascending per mode, so this tracks the point's
-    /// own connection count — except the trailing paced point, which
-    /// reuses the mode's server and so reads the mode-wide peak.
-    open_conns_peak: f64,
-    /// Client connections beyond each client's first — keep-alive reuse
-    /// failures (`connection: close`, server-side closes, timeouts).
-    client_reconnects: u64,
-    /// Server threads alive after this point (Linux: `/proc/self/task`
-    /// delta from before server start; 0 elsewhere). The epoll claim is
-    /// that this stays at `io_threads + workers + supervisor` no matter
-    /// how many connections are open.
-    server_threads: usize,
-    /// Nonzero when the clients were rate-limited to this aggregate
-    /// qps. A saturated closed loop's p99 is queueing delay (Little's
-    /// law: ~concurrency/qps), so the latency comparison across
-    /// transports is made at equal offered load: epoll holding many
-    /// connections, paced to the thread backend's peak throughput.
-    paced_to_qps: f64,
-}
-
 #[derive(Serialize)]
 struct BenchReport {
     world: String,
@@ -121,15 +81,11 @@ struct BenchReport {
     /// `ModelView::open` + ζ/TopComm/ranking precompute, seconds.
     app_load_seconds: f64,
     points: Vec<LoadPoint>,
-    /// Transport comparison: keep-alive `/predict` at high connection
-    /// counts, thread backend vs epoll backend.
-    io_modes: Vec<IoModePoint>,
     /// Saturation study against a constrained server (small worker pool
     /// and queues) — goodput and tail latency under offered load ≫
     /// capacity.
     overload: Vec<OverloadPoint>,
     headline: String,
-    io_mode_headline: String,
 }
 
 /// Train on the base world, tile `π` to `num_users`, save binary.
@@ -282,161 +238,6 @@ fn run_point(
     point
 }
 
-/// Live threads in this process (Linux; 0 elsewhere). Used to show the
-/// epoll transport's thread count is independent of connection count.
-fn thread_count() -> usize {
-    #[cfg(target_os = "linux")]
-    {
-        std::fs::read_dir("/proc/self/task")
-            .map(|d| d.count())
-            .unwrap_or(0)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        0
-    }
-}
-
-/// Extract one gauge from a `/metrics` JSONL snapshot.
-fn gauge_in(metrics_body: &str, name: &str) -> f64 {
-    let needle = format!("\"name\":\"{name}\"");
-    for line in metrics_body.lines() {
-        if line.contains("\"type\":\"gauge\"") && line.contains(&needle) {
-            if let Ok(v) = serde_json::from_str::<serde::Value>(line) {
-                return match v.get("value") {
-                    Some(serde::Value::Float(f)) => *f,
-                    Some(serde::Value::Int(i)) => *i as f64,
-                    Some(serde::Value::UInt(u)) => *u as f64,
-                    _ => 0.0,
-                };
-            }
-        }
-    }
-    0.0
-}
-
-/// Drive `/predict` with `concurrency` keep-alive clients for `duration`
-/// against a server running `io_mode`. Unlike [`run_point`] this
-/// tolerates sheds and stalls — at these connection counts the thread
-/// backend parks most clients, and that *is* the measurement.
-#[allow(clippy::too_many_arguments)]
-fn run_io_mode_point(
-    addr: SocketAddr,
-    io_mode: IoMode,
-    concurrency: usize,
-    duration: Duration,
-    num_users: u32,
-    vocab: usize,
-    threads_before: usize,
-    paced_to_qps: f64,
-) -> IoModePoint {
-    let pace =
-        (paced_to_qps > 0.0).then(|| Duration::from_secs_f64(concurrency as f64 / paced_to_qps));
-    let barrier = Arc::new(Barrier::new(concurrency + 1));
-    let rngs = RngFactory::new(BASE_SEED + 9404);
-    let handles: Vec<_> = (0..concurrency)
-        .map(|t| {
-            let barrier = Arc::clone(&barrier);
-            let mut rng = rngs.stream(t as u64);
-            std::thread::spawn(move || {
-                // Short client timeout: a connection the thread backend
-                // never schedules turns into a counted error, not a
-                // wedged sweep.
-                let client = HttpClient::connect(addr, Duration::from_secs(2));
-                barrier.wait();
-                let Ok(mut client) = client else {
-                    return (0usize, 0usize, 1usize, Vec::new(), 0u64);
-                };
-                let deadline = Instant::now() + duration;
-                let (mut ok, mut shed, mut err) = (0usize, 0usize, 0usize);
-                let mut latencies = Vec::new();
-                let mut next_fire = Instant::now();
-                while Instant::now() < deadline {
-                    if let Some(interval) = pace {
-                        let now = Instant::now();
-                        if next_fire > now {
-                            std::thread::sleep(next_fire - now);
-                        }
-                        next_fire += interval;
-                    }
-                    let t0 = Instant::now();
-                    let body = format!(
-                        "{{\"publisher\":{},\"consumer\":{},\"words\":[{}]}}",
-                        rng.gen_range(0..num_users),
-                        rng.gen_range(0..num_users),
-                        rng.gen_range(0..vocab as u32),
-                    );
-                    match client.post("/predict", &body) {
-                        Ok(r) if r.status == 200 => {
-                            ok += 1;
-                            latencies.push(1e3 * t0.elapsed().as_secs_f64());
-                        }
-                        Ok(r) if r.status == 503 => shed += 1,
-                        Ok(_) | Err(_) => err += 1,
-                    }
-                }
-                (ok, shed, err, latencies, client.reconnects())
-            })
-        })
-        .collect();
-    barrier.wait();
-    let t0 = Instant::now();
-    let (mut ok, mut shed, mut err, mut reconnects) = (0usize, 0usize, 0usize, 0u64);
-    let mut latencies = Vec::new();
-    for h in handles {
-        let (o, s, e, l, r) = h.join().expect("io-mode client thread");
-        ok += o;
-        shed += s;
-        err += e;
-        reconnects += r;
-        latencies.extend(l);
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    let server_threads = thread_count().saturating_sub(threads_before);
-    // Let the server reap the dropped connections before reading gauges.
-    std::thread::sleep(Duration::from_millis(200));
-    let metrics = HttpClient::connect(addr, Duration::from_secs(10))
-        .and_then(|mut c| c.get("/metrics"))
-        .map(|r| r.body)
-        .unwrap_or_default();
-    latencies.sort_by(f64::total_cmp);
-    let q = |p: f64| {
-        if latencies.is_empty() {
-            0.0
-        } else {
-            latencies[((latencies.len() - 1) as f64 * p).round() as usize]
-        }
-    };
-    let point = IoModePoint {
-        io_mode: io_mode.to_string(),
-        concurrency,
-        duration_seconds: wall,
-        requests_ok: ok,
-        shed,
-        errors: err,
-        qps: ok as f64 / wall,
-        p50_ms: q(0.50),
-        p99_ms: q(0.99),
-        open_conns_peak: gauge_in(&metrics, "serve.open_conns_peak"),
-        client_reconnects: reconnects,
-        server_threads,
-        paced_to_qps,
-    };
-    let label = if paced_to_qps > 0.0 { " (paced)" } else { "" };
-    println!(
-        "  {:<8} c={:<4} {:>8.0} qps  p50 {:>7.3} ms  p99 {:>8.3} ms  peak conns {:>4.0}  reconnects {:>5}  server threads {}{label}",
-        point.io_mode,
-        point.concurrency,
-        point.qps,
-        point.p50_ms,
-        point.p99_ms,
-        point.open_conns_peak,
-        point.client_reconnects,
-        point.server_threads
-    );
-    point
-}
-
 /// Constrained-server shape for the overload study: a pool and queues
 /// small enough that the sweep's offered load is far beyond capacity.
 const OVERLOAD_WORKERS: usize = 2;
@@ -569,6 +370,7 @@ fn main() {
     let server = Server::start(
         ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
+            io_threads: IO_THREADS,
             workers: WORKERS,
             ..ServeConfig::default()
         },
@@ -597,90 +399,6 @@ fn main() {
         }
     }
     server.shutdown();
-
-    // Transport comparison: both io modes under keep-alive connection
-    // counts far beyond the worker pool. The thread backend pins one
-    // worker per connection, so concurrency past `WORKERS` parks
-    // clients; the epoll backend multiplexes every connection onto
-    // `IO_THREADS` event loops and keeps the same scorer pool busy.
-    let (mode_levels, mode_secs): (&[usize], f64) = if quick {
-        (&[8, 32], 2.0)
-    } else {
-        (&[8, 16, 64, 256], 5.0)
-    };
-    #[cfg(target_os = "linux")]
-    let modes = [IoMode::Threads, IoMode::Epoll];
-    #[cfg(not(target_os = "linux"))]
-    let modes = [IoMode::Threads];
-    println!("\nio-mode sweep: keep-alive /predict, {WORKERS} workers, {IO_THREADS} io threads:");
-    let mut io_mode_points = Vec::new();
-    for &mode in &modes {
-        let app = App::load(
-            &path,
-            cold_core::predict::DEFAULT_TOP_COMM,
-            100,
-            None,
-            Metrics::enabled(),
-        )
-        .expect("reload model for io-mode sweep");
-        let threads_before = thread_count();
-        let mode_server = Server::start(
-            ServeConfig {
-                addr: "127.0.0.1:0".to_owned(),
-                io_mode: mode,
-                io_threads: IO_THREADS,
-                workers: WORKERS,
-                // Admit the whole sweep: this measures scheduling, not
-                // the shed policy (the overload study covers that).
-                max_conns: 1024,
-                ..ServeConfig::default()
-            },
-            app,
-        )
-        .expect("start io-mode server");
-        for &concurrency in mode_levels {
-            io_mode_points.push(run_io_mode_point(
-                mode_server.addr(),
-                mode,
-                concurrency,
-                Duration::from_secs_f64(mode_secs),
-                num_users,
-                vocab,
-                threads_before,
-                0.0,
-            ));
-        }
-        // The latency half of the comparison: a saturated closed loop's
-        // p99 is mostly its own queueing (~concurrency/qps), so pace the
-        // epoll backend down to the thread backend's peak throughput and
-        // measure the tail it holds across the same high connection
-        // count.
-        if mode == IoMode::Epoll {
-            let target = io_mode_points
-                .iter()
-                .filter(|p| p.io_mode == "threads")
-                .map(|p| p.qps)
-                .fold(0.0f64, f64::max);
-            if target > 0.0 {
-                let concurrency = if mode_levels.contains(&64) {
-                    64
-                } else {
-                    *mode_levels.last().expect("mode levels")
-                };
-                io_mode_points.push(run_io_mode_point(
-                    mode_server.addr(),
-                    mode,
-                    concurrency,
-                    Duration::from_secs_f64(mode_secs),
-                    num_users,
-                    vocab,
-                    threads_before,
-                    target,
-                ));
-            }
-        }
-        mode_server.shutdown();
-    }
 
     // Overload study: a deliberately undersized server (2 workers, short
     // queues, 2s deadline) under offered load far beyond capacity. The
@@ -747,50 +465,6 @@ fn main() {
     );
     println!("\n{headline}");
 
-    // Head-to-head at the largest concurrency both transports ran —
-    // c=64 in the full sweep, per the acceptance bar: epoll qps ≥ 2×
-    // threads, with p99 no worse than the thread backend at c=8.
-    let head_c = if mode_levels.contains(&64) {
-        64
-    } else {
-        *mode_levels.last().expect("mode levels")
-    };
-    let mode_at = |m: &str, c: usize| {
-        io_mode_points
-            .iter()
-            .find(|p| p.io_mode == m && p.concurrency == c && p.paced_to_qps == 0.0)
-    };
-    let paced_point = io_mode_points.iter().find(|p| p.paced_to_qps > 0.0);
-    let io_mode_headline = match (mode_at("epoll", head_c), mode_at("threads", head_c)) {
-        (Some(e), Some(t)) if t.qps > 0.0 => {
-            let baseline_p99 = mode_at("threads", mode_levels[0])
-                .map(|p| p.p99_ms)
-                .unwrap_or(0.0);
-            let paced = paced_point
-                .map(|p| {
-                    format!(
-                        "; paced to the thread backend's peak ({:.0} qps) it holds p99 {:.2} ms \
-                         across {} connections",
-                        p.paced_to_qps, p.p99_ms, p.concurrency
-                    )
-                })
-                .unwrap_or_default();
-            format!(
-                "at c={head_c} keep-alive the epoll transport answers /predict at {:.0} qps \
-                 ({:.1}x the thread backend's {:.0} qps) on {} server threads \
-                 (thread backend at c={}: p99 {:.2} ms){paced}",
-                e.qps,
-                e.qps / t.qps,
-                t.qps,
-                e.server_threads,
-                mode_levels[0],
-                baseline_p99,
-            )
-        }
-        _ => "thread transport only (epoll backend needs Linux)".to_owned(),
-    };
-    println!("{io_mode_headline}");
-
     let report = BenchReport {
         world: "quality world fit, π tiled to deployment size".to_owned(),
         num_users,
@@ -802,10 +476,8 @@ fn main() {
         artifact_bytes,
         app_load_seconds,
         points,
-        io_modes: io_mode_points,
         overload,
         headline,
-        io_mode_headline,
     };
     let out = cold_bench::results_dir().join(out_file);
     let json = serde_json::to_string_pretty(&report).expect("report serialization");

@@ -34,7 +34,7 @@ USAGE:
                  [--workers N] [--top-comm N] [--rank-depth N]
                  [--data <world.json>] [--max-body BYTES]
                  [--max-conns N] [--max-queue N]
-                 [--io-mode threads|epoll] [--io-threads N]
+                 [--io-threads N]
                  [--request-timeout-ms MS] [--respawn-limit N]
                  [--watch-model-ms MS] [--chaos true]
   cold metrics-check --file <metrics.jsonl>
@@ -629,9 +629,11 @@ pub fn eval(args: &Args) -> CliResult {
 /// port) exit nonzero with the underlying error in context.
 pub fn serve(args: &Args) -> CliResult {
     let model_path = args.required("model")?;
-    let addr = match args.optional("addr") {
-        Some(addr) => addr.to_owned(),
-        None => format!("127.0.0.1:{}", args.get_or("port", 8391u16)?),
+    let defaults = cold_serve::ServeConfig::default();
+    let addr = match (args.optional("addr"), args.optional("port")) {
+        (Some(addr), _) => addr.to_owned(),
+        (None, Some(_)) => format!("127.0.0.1:{}", args.get_required::<u16>("port")?),
+        (None, None) => defaults.addr.clone(),
     };
     let top_comm = args.get_or("top-comm", cold_core::predict::DEFAULT_TOP_COMM)?;
     let rank_depth = args.get_or("rank-depth", 100usize)?;
@@ -647,17 +649,11 @@ pub fn serve(args: &Args) -> CliResult {
         }
         None => None,
     };
-    let defaults = cold_serve::ServeConfig::default();
-    let io_mode = match args.optional("io-mode") {
-        Some(raw) => raw.parse::<cold_serve::IoMode>()?,
-        None => defaults.io_mode,
-    };
     let config = cold_serve::ServeConfig {
         addr,
-        io_mode,
         io_threads: args.get_or("io-threads", defaults.io_threads)?,
-        workers: args.get_or("workers", 8usize)?,
-        max_body: args.get_or("max-body", 1usize << 20)?,
+        workers: args.get_or("workers", defaults.workers)?,
+        max_body: args.get_or("max-body", defaults.max_body)?,
         max_conns: args.get_or("max-conns", defaults.max_conns)?,
         max_queue: args.get_or("max-queue", defaults.max_queue)?,
         // 0 disables the per-request deadline.
@@ -666,9 +662,12 @@ pub fn serve(args: &Args) -> CliResult {
             defaults.request_timeout.as_millis() as u64,
         )?),
         respawn_limit: args.get_or("respawn-limit", defaults.respawn_limit)?,
-        chaos_endpoints: args.get_or("chaos", false)?,
+        chaos_endpoints: args.get_or("chaos", defaults.chaos_endpoints)?,
         // 0 disables artifact watching.
-        watch_model: match args.get_or("watch-model-ms", 0u64)? {
+        watch_model: match args.get_or(
+            "watch-model-ms",
+            defaults.watch_model.map_or(0, |d| d.as_millis() as u64),
+        )? {
             0 => None,
             ms => Some(std::time::Duration::from_millis(ms)),
         },
@@ -679,11 +678,11 @@ pub fn serve(args: &Args) -> CliResult {
 
     let app = cold_serve::App::load(model_path, top_comm, rank_depth, vocab, Metrics::enabled())
         .map_err(|e| format!("cannot load {model_path}: {e}"))?;
+    let (io_threads, workers) = (config.io_threads, config.workers);
     let server = cold_serve::Server::start(config, app).map_err(|e| e.to_string())?;
     println!(
-        "cold-serve listening on {} ({io_mode} transport, {} workers); stop with: curl -X POST http://{}/shutdown",
+        "cold-serve listening on {} ({io_threads} io threads, {workers} workers); stop with: curl -X POST http://{}/shutdown",
         server.addr(),
-        args.get_or("workers", 8usize)?,
         server.addr()
     );
     server.join();

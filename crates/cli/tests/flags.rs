@@ -30,6 +30,14 @@ fn serve_refuses_the_retired_batcher_flags() {
 }
 
 #[test]
+fn serve_refuses_the_retired_transport_flag() {
+    // One transport is left, so there is nothing to select.
+    let out = cold(&["serve", "--model", "absent.cold", "--io-mode", "epoll"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert_refused(&out, "--io-mode");
+}
+
+#[test]
 fn every_subcommand_refuses_an_unknown_flag() {
     for command in [
         "generate",

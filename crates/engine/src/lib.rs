@@ -10,14 +10,13 @@
 //! GraphLab itself is long unmaintained and a physical cluster is out of
 //! scope, so this crate rebuilds the same execution model:
 //!
-//! * [`gas`] — a small synchronous vertex-centric engine (vertices, typed
-//!   edges, a [`gas::VertexProgram`] trait, superstep scheduler). Generic:
-//!   the tests run PageRank on it.
 //! * [`parallel`] — the COLD Gibbs sampler expressed as sharded supersteps
 //!   with **stale global counters** folded at each barrier. This is the
 //!   standard approximation (AD-LDA and every GraphLab-hosted collapsed
 //!   sampler make it): within a superstep each shard samples against a
-//!   snapshot plus its own updates; the barrier reconciles deltas.
+//!   snapshot plus its own updates; the barrier reconciles deltas. The
+//!   GAS structure of Alg. 2 lives here directly: gather and apply run
+//!   per shard inside a superstep, and the barrier merges and broadcasts.
 //! * [`cluster`] — a deterministic cost model that converts the measured
 //!   per-shard work and synchronized bytes into simulated cluster wall
 //!   time, reproducing the load-balance and communication-volume behaviour
@@ -25,7 +24,6 @@
 //!   single-machine wall time is measured too.
 
 pub mod cluster;
-pub mod gas;
 pub mod parallel;
 
 pub use cluster::ClusterCostModel;

@@ -86,7 +86,7 @@ struct RankedUser {
     score: f64,
 }
 
-/// The loaded service state shared by every worker.
+/// The loaded service state shared by the event loops and scorers.
 ///
 /// An `App` is immutable once built — hot reload builds a *new* `App`
 /// and swaps it into the serving [`AppSlot`]; requests hold an
@@ -513,32 +513,37 @@ fn build_rankings<M: ModelRead>(
             }
         }
     }
+    // One scratch row of every user's score, reused across topics; each
+    // topic keeps an exact-size copy of its top `depth` (0 keeps all).
+    let mut scored: Vec<RankedUser> = Vec::with_capacity(u);
     let mut rank = Vec::with_capacity(k);
     for kk in 0..k {
         let zk = &z[kk * c..(kk + 1) * c];
-        let mut scored: Vec<RankedUser> = (0..u)
-            .map(|i| {
-                let pi = view.user_memberships(i as u32);
-                let top = predictor
-                    .top_communities(i as u32)
-                    .expect("user index in range");
-                let score = top
-                    .iter()
-                    .map(|&cc| pi[cc as usize] * zk[cc as usize])
-                    .sum();
-                RankedUser {
-                    user: i as u32,
-                    score,
-                }
-            })
-            .collect();
-        let keep = depth.min(scored.len());
-        if keep > 0 && keep < scored.len() {
+        scored.clear();
+        scored.extend((0..u).map(|i| {
+            let pi = view.user_memberships(i as u32);
+            let top = predictor
+                .top_communities(i as u32)
+                .expect("user index in range");
+            let score = top
+                .iter()
+                .map(|&cc| pi[cc as usize] * zk[cc as usize])
+                .sum();
+            RankedUser {
+                user: i as u32,
+                score,
+            }
+        }));
+        let keep = match depth.min(u) {
+            0 => u,
+            keep => keep,
+        };
+        if keep < u {
             scored.select_nth_unstable_by(keep - 1, |a, b| b.score.total_cmp(&a.score));
-            scored.truncate(keep);
         }
-        scored.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.user.cmp(&b.user)));
-        rank.push(scored);
+        let mut top = scored[..keep].to_vec();
+        top.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.user.cmp(&b.user)));
+        rank.push(top);
     }
     rank
 }
@@ -556,4 +561,42 @@ fn parse_json_object(body: &[u8]) -> Result<Value, String> {
 fn field_u32(v: &Value, key: &str) -> Result<u32, String> {
     let field = v.get(key).ok_or_else(|| format!("missing field `{key}`"))?;
     u32::from_value(field).map_err(|e| format!("field `{key}`: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cold_core::{ColdConfig, GibbsSampler, ModelFormat};
+    use cold_graph::CsrGraph;
+    use cold_text::CorpusBuilder;
+
+    #[test]
+    fn rankings_hold_only_the_top_depth_users() {
+        let mut b = CorpusBuilder::new();
+        for u in 0..6u32 {
+            b.push_text(u, 0, &["football", "goal", "film"]);
+        }
+        let corpus = b.build();
+        let graph = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
+        let config = ColdConfig::builder(2, 2)
+            .iterations(5)
+            .build(&corpus, &graph);
+        let model = GibbsSampler::new(&corpus, &graph, config, 3).run();
+        let dir = std::env::temp_dir().join(format!("cold_app_rank_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.cold");
+        model.save_as(&path, ModelFormat::Binary).unwrap();
+        let load = |depth| App::load(&path, 2, depth, None, Metrics::enabled()).unwrap();
+
+        // Each topic keeps exactly its top entries, not a full-size row.
+        for ranking in &load(2).rank {
+            assert_eq!((ranking.len(), ranking.capacity()), (2, 2));
+        }
+        // Depth 0 keeps every user, best first.
+        for ranking in &load(0).rank {
+            assert_eq!(ranking.len(), 6);
+            assert!(ranking.windows(2).all(|w| w[0].score >= w[1].score));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -3,7 +3,7 @@
 //! The soak tests and `chaos_client` load generator drive these faults at
 //! a live server socket to prove the robustness claims the transport
 //! layer makes: a misbehaving peer costs the server *one connection*,
-//! never a worker, never a byte of unbounded buffering, and never a
+//! never a thread, never a byte of unbounded buffering, and never a
 //! healthy client's response. All randomness comes from a caller-seeded
 //! RNG — the same seeded-fault-class discipline `cold-replay::fault`
 //! uses — so every chaotic run replays from its recorded seed.
@@ -38,10 +38,10 @@ pub enum Fault {
     /// Send a valid request but never read the response (stalled write
     /// side), then close with the response unread.
     SlowReader,
-    /// `POST /chaos/panic`: panic inside the handler; the worker's
+    /// `POST /chaos/panic`: panic inside the handler; the event loop's
     /// `catch_unwind` must contain it to this one connection.
     HandlerPanic,
-    /// `POST /chaos/panic-worker`: kill the whole worker thread; the
+    /// `POST /chaos/panic-worker`: kill one whole scorer thread; the
     /// supervisor must respawn it.
     WorkerKill,
 }
@@ -139,7 +139,7 @@ pub fn run_fault(
             stream.write_all(b"POST /pre")?;
             stream.flush()?;
             // Hold the half-request open: the armed request clock (or
-            // the shutdown poll) must reclaim the worker.
+            // shutdown) must reclaim the connection.
             std::thread::sleep(stall);
         }
         Fault::PartialWrite => {
@@ -179,7 +179,7 @@ pub fn run_fault(
                 b"POST /chaos/panic HTTP/1.1\r\nhost: chaos\r\ncontent-length: 0\r\n\r\n",
             )?;
             stream.flush()?;
-            // The panic is caught; the worker answers 500 and closes, or
+            // The panic is caught; the loop answers 500 and closes, or
             // just closes. Either way the read terminates.
             let mut sink = [0u8; 512];
             let _ = stream.read(&mut sink);

@@ -14,10 +14,10 @@
 //!
 //! ```text
 //!            readable: buffer bytes, try_parse
-//!   ┌─────────┐──────── complete /predict ────────▶┌───────────────┐
-//!   │ Reading │                                    │ AwaitingScore │
-//!   │         │◀─── completion (or deadline) ──────│  (job queued) │
-//!   └─────────┘      response queued on write_buf  └───────────────┘
+//!   ┌─────────┐──── complete /predict or /reload ──▶┌─────────────┐
+//!   │ Reading │                                     │ AwaitingJob │
+//!   │         │◀─── completion (or deadline) ───────│ (job queued)│
+//!   └─────────┘      response queued on write_buf   └─────────────┘
 //!        │ any other request: route inline, queue response
 //!        ▼ writable: flush write_buf, then parse pipelined bytes
 //! ```
@@ -28,29 +28,28 @@
 //! written (`serve.io_write_partial` counts those) and dropped as soon
 //! as the buffer drains, and the only other `MOD` is a read-side pause
 //! when a client pipelines more than [`PIPELINE_CAP`] bytes behind an
-//! in-flight `/predict` — the epoll analogue of the thread transport's
-//! TCP backpressure (it simply stops `read()`ing while scoring).
+//! in-flight job: TCP backpressure, since the loop stops `read()`ing
+//! until the job is answered.
 //!
-//! Deadlines move from read-timeout polling onto the epoll timer tick:
-//! `epoll_wait` sleeps no longer than the nearest armed deadline (capped
-//! by [`POLL_INTERVAL`]) and a sweep then answers expired requests — a
-//! stalled upload gets `408`, a score the pool couldn't produce in time
-//! gets `503` + `Retry-After`, a peer that stops reading its response is
-//! closed (`serve.write_timeouts`). A slowloris therefore costs one
-//! buffer and one timer entry, never a thread.
+//! Deadlines live on the epoll timer tick: `epoll_wait` sleeps no longer
+//! than the nearest armed deadline (capped by [`POLL_INTERVAL`]) and a
+//! sweep then answers expired requests — a stalled upload gets `408`, a
+//! job the pool couldn't finish in time gets `503` + `Retry-After`, a
+//! peer that stops reading its response is closed
+//! (`serve.write_timeouts`). A slowloris therefore costs one buffer and
+//! one timer entry, never a thread.
 //!
-//! Metric accounting is bit-identical to the thread transport by
-//! construction: both funnel through [`count_status`], both count
-//! `serve.connections_total` at accept and `serve.requests_total` at
-//! parse, and `serve.predict_seconds` spans dispatch → reply either way.
+//! Accounting: `serve.connections_total` counts at accept,
+//! `serve.requests_total` at parse, every status through
+//! [`count_status`], and each endpoint histogram spans dispatch → reply
+//! (`EventLoop::answer`).
 
-use crate::http::{self, ReadError, RequestClock};
+use crate::http::{self, ParseError, RequestClock};
 use crate::server::{
-    count_status, route_async, shed_body, shed_conn, Job, PredictJob, ReplySink, RouteOutcome,
-    ServiceCtx, FALLBACK_WRITE_TIMEOUT, JSON, POLL_INTERVAL, RETRY_AFTER_SECS,
+    count_status, route, shed_conn, Job, RouteOutcome, Routed, ServiceCtx, FALLBACK_WRITE_TIMEOUT,
+    JSON, POLL_INTERVAL,
 };
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use cold_core::PredictError;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -69,13 +68,19 @@ const TOKEN_WAKE: u64 = u64::MAX - 1;
 /// until the socket is drained, so one bounded read per wakeup is fair
 /// to the other connections on the loop.
 const READ_CHUNK: usize = 64 * 1024;
-/// Read-side pause threshold while a `/predict` is in flight: a client
-/// may pipeline this many buffered bytes before the loop stops reading
-/// from it until the score comes back.
+/// Connections accepted per listener readiness event. Level-triggered
+/// epoll re-reports a backlog that is left over, so a reconnect storm
+/// (every shed client dialling straight back) cannot keep loop 0 in
+/// `accept()` while the connections it already admitted wait to be
+/// read.
+const ACCEPT_BATCH: usize = 16;
+/// Read-side pause threshold while a job is in flight: a client may
+/// pipeline this many buffered bytes before the loop stops reading from
+/// it until the job is answered.
 const PIPELINE_CAP: usize = 256 * 1024;
 
-/// Where a scorer posts a finished `/predict` for a loop-owned
-/// connection: push the completion, ring the loop's eventfd.
+/// Where a scorer posts a finished job for a loop-owned connection: push
+/// the completion, ring the loop's eventfd.
 pub(crate) struct CompletionSink {
     shared: Arc<LoopShared>,
     conn: u64,
@@ -83,7 +88,7 @@ pub(crate) struct CompletionSink {
 }
 
 impl CompletionSink {
-    pub(crate) fn send(self, result: Result<f64, PredictError>) {
+    pub(crate) fn send(self, routed: Routed) {
         self.shared
             .completions
             .lock()
@@ -91,9 +96,29 @@ impl CompletionSink {
             .push(Completion {
                 conn: self.conn,
                 seq: self.seq,
-                result,
+                routed,
             });
         self.shared.wake.wake();
+    }
+
+    /// Sinks onto a loop that never runs (one per connection id), plus a
+    /// way to take the `(conn, response)` pairs that reached it.
+    #[cfg(test)]
+    pub(crate) fn detached() -> (impl Fn(u64) -> Self, impl Fn() -> Vec<(u64, Routed)>) {
+        let shared = Arc::new(LoopShared::new().unwrap());
+        let taker = Arc::clone(&shared);
+        let sink = move |conn| CompletionSink {
+            shared: Arc::clone(&shared),
+            conn,
+            seq: 0,
+        };
+        let take = move || {
+            std::mem::take(&mut *taker.completions.lock().unwrap())
+                .into_iter()
+                .map(|c| (c.conn, c.routed))
+                .collect()
+        };
+        (sink, take)
     }
 }
 
@@ -106,24 +131,32 @@ struct LoopShared {
     completions: Mutex<Vec<Completion>>,
 }
 
+impl LoopShared {
+    fn new() -> std::io::Result<Self> {
+        Ok(Self {
+            wake: Arc::new(EventFd::new()?),
+            inbox: Mutex::new(Vec::new()),
+            completions: Mutex::new(Vec::new()),
+        })
+    }
+}
+
 struct Completion {
     conn: u64,
     /// Must match the connection's current sequence number — a reply to
     /// a request the loop already answered (deadline 503) is discarded.
     seq: u64,
-    result: Result<f64, PredictError>,
+    routed: Routed,
 }
 
 /// What a connection is doing between readiness events.
 enum ConnPhase {
     /// Accumulating request bytes (or idle keep-alive).
     Reading,
-    /// A `/predict` job is queued on the scorer pool; everything needed
-    /// to answer when the completion lands (or the deadline fires).
-    AwaitingScore {
-        app: Arc<crate::app::App>,
-        publisher: u32,
-        consumer: u32,
+    /// A job is queued on the scorer pool; the completion carries the
+    /// response, this is what else answering it (or its deadline) needs.
+    AwaitingJob {
+        endpoint: &'static str,
         t0: Instant,
         keep_alive: bool,
     },
@@ -215,11 +248,7 @@ pub(crate) fn spawn_loops(
 ) -> std::io::Result<Vec<JoinHandle<()>>> {
     let mut shareds = Vec::with_capacity(io_threads);
     for _ in 0..io_threads {
-        let shared = Arc::new(LoopShared {
-            wake: Arc::new(EventFd::new()?),
-            inbox: Mutex::new(Vec::new()),
-            completions: Mutex::new(Vec::new()),
-        });
+        let shared = Arc::new(LoopShared::new()?);
         svc.shutdown.add_waker(Arc::clone(&shared.wake));
         shareds.push(shared);
     }
@@ -326,7 +355,7 @@ impl EventLoop {
     }
 
     fn on_accept(&mut self) {
-        loop {
+        for _ in 0..ACCEPT_BATCH {
             let Some(listener) = &self.listener else {
                 return;
             };
@@ -439,8 +468,7 @@ impl EventLoop {
                 return
             }
             Err(_) => {
-                // Transport failure mid-request: same silent close as the
-                // thread transport's `ReadError::Io`.
+                // Transport failure mid-request: close without an answer.
                 self.close_conn(id);
                 return;
             }
@@ -506,11 +534,11 @@ impl EventLoop {
                 continue; // re-fetch: state may allow the next request now
             }
 
-            // 2. A queued score answers this connection, not the parser.
-            if matches!(conn.phase, ConnPhase::AwaitingScore { .. }) {
+            // 2. A queued job answers this connection, not the parser.
+            if matches!(conn.phase, ConnPhase::AwaitingJob { .. }) {
                 if conn.read_buf.len() >= PIPELINE_CAP && conn.want_read {
                     // Backpressure a hyper-pipeliner: stop reading until
-                    // the in-flight score is answered.
+                    // the in-flight job is answered.
                     conn.want_read = false;
                     let fd = conn.stream.as_raw_fd();
                     let interest = conn.interest();
@@ -519,8 +547,8 @@ impl EventLoop {
                 return;
             }
 
-            // Draining: requests not yet complete are dropped, exactly
-            // like the thread transport's shutdown-interrupted read.
+            // Draining: requests not yet parsed are dropped with their
+            // connection.
             if self.draining {
                 self.close_conn(id);
                 return;
@@ -542,8 +570,7 @@ impl EventLoop {
                 }
                 Ok(None) => {
                     if conn.peer_closed {
-                        // EOF mid-request: 400, as the blocking reader
-                        // answers a connection closed mid-line/mid-body.
+                        // EOF mid-request: 400.
                         count_status(&self.svc.metrics, 400);
                         self.queue_response(
                             id,
@@ -560,37 +587,37 @@ impl EventLoop {
                     }
                     return;
                 }
-                Err(ReadError::BadRequest(msg)) => {
+                Err(ParseError::BadRequest(msg)) => {
                     count_status(&self.svc.metrics, 400);
                     let body = format!("{{\"error\":\"{}\"}}", http::json_escape(&msg));
                     self.queue_response(id, 400, JSON, body.as_bytes(), false, None);
                 }
-                Err(ReadError::BodyTooLarge { declared, limit }) => {
+                Err(ParseError::BodyTooLarge { declared, limit }) => {
                     count_status(&self.svc.metrics, 413);
                     let body = format!(
                         "{{\"error\":\"body of {declared} bytes exceeds the {limit}-byte limit\"}}"
                     );
                     self.queue_response(id, 413, JSON, body.as_bytes(), false, None);
                 }
-                Err(_) => {
-                    self.close_conn(id);
-                    return;
-                }
             }
         }
     }
 
     /// Route one parsed request: inline endpoints answer immediately,
-    /// `/predict` goes to the scorer pool and parks the connection.
+    /// `/predict` and `/reload` go to the scorer pool and park the
+    /// connection.
     fn dispatch(&mut self, id: u64, request: http::Request) {
         let svc = Arc::clone(&self.svc);
         let app = svc.slot.current();
         let t0 = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| route_async(&svc, &app, &request)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| route(&svc, &app, &request)));
+        // Once shutdown is underway (perhaps by this very request),
+        // answer but stop keeping alive.
+        let keep_alive = request.keep_alive && !svc.shutdown.is_set();
         match outcome {
             Err(_) => {
                 // A panicking handler costs this connection a 500, never
-                // the loop (same containment as the worker's catch).
+                // the loop.
                 svc.metrics.counter_add("serve.worker_panics", 1);
                 svc.metrics.counter_add("serve.responses_500", 1);
                 self.queue_response(
@@ -603,126 +630,83 @@ impl EventLoop {
                 );
             }
             Ok(RouteOutcome::Ready(routed)) => {
-                svc.metrics
-                    .observe(routed.endpoint, t0.elapsed().as_secs_f64());
-                count_status(&svc.metrics, routed.status);
-                let keep_alive = request.keep_alive
-                    && !routed.close
-                    && !routed.kill_worker
-                    && !svc.shutdown.is_set();
-                self.queue_response(
-                    id,
-                    routed.status,
-                    routed.content_type,
-                    routed.body.as_bytes(),
-                    keep_alive,
-                    routed.retry_after,
-                );
                 if routed.kill_worker {
                     // Chaos worker-kill: poison one scorer so the
-                    // supervisor respawn path runs, as in thread mode.
+                    // supervisor respawn path runs.
                     let _ = svc.job_tx.try_send(Job::Poison);
                 }
+                self.answer(id, t0, routed, keep_alive);
             }
-            Ok(RouteOutcome::Predict {
-                publisher,
-                consumer,
-                words,
-            }) => {
+            Ok(RouteOutcome::Offload(task)) => {
                 let Some(conn) = self.conns.get_mut(&id) else {
                     return;
                 };
-                let keep_alive = request.keep_alive && !svc.shutdown.is_set();
-                let job = Job::Predict(PredictJob {
-                    app: Arc::clone(&app),
-                    publisher,
-                    consumer,
-                    words,
+                let endpoint = task.endpoint();
+                let job = Job::Run {
+                    task,
                     deadline: conn.clock.deadline(),
                     enqueued: Instant::now(),
-                    reply: ReplySink::Loop(CompletionSink {
+                    reply: CompletionSink {
                         shared: Arc::clone(&self.shared),
                         conn: id,
                         seq: conn.seq,
-                    }),
-                });
-                match svc.job_tx.try_send(job) {
+                    },
+                };
+                let refused = match svc.job_tx.try_send(job) {
                     Ok(()) => {
-                        conn.phase = ConnPhase::AwaitingScore {
-                            app,
-                            publisher,
-                            consumer,
+                        conn.phase = ConnPhase::AwaitingJob {
+                            endpoint,
                             t0,
                             keep_alive,
                         };
+                        return;
                     }
                     Err(mpsc::TrySendError::Full(_)) => {
                         svc.metrics.counter_add("serve.shed", 1);
                         svc.metrics.counter_add("serve.shed_jobs", 1);
-                        svc.metrics
-                            .observe("serve.predict_seconds", t0.elapsed().as_secs_f64());
-                        count_status(&svc.metrics, 503);
-                        self.queue_response(
-                            id,
-                            503,
-                            JSON,
-                            shed_body("predict queue full").as_bytes(),
-                            keep_alive,
-                            Some(RETRY_AFTER_SECS),
-                        );
+                        Routed::shed(endpoint, "job queue full")
                     }
                     Err(mpsc::TrySendError::Disconnected(_)) => {
-                        svc.metrics
-                            .observe("serve.predict_seconds", t0.elapsed().as_secs_f64());
-                        count_status(&svc.metrics, 503);
-                        self.queue_response(
-                            id,
-                            503,
-                            JSON,
-                            b"{\"error\":\"scoring queue is gone\"}",
-                            keep_alive,
-                            None,
-                        );
+                        Routed::error(endpoint, 503, "scoring queue is gone")
                     }
-                }
+                };
+                self.answer(id, t0, refused, keep_alive);
             }
         }
     }
 
-    /// A scorer finished a `/predict` for one of our connections.
+    /// A scorer finished a job for one of our connections.
     fn on_completion(&mut self, completion: Completion) {
         let Some(conn) = self.conns.get_mut(&completion.conn) else {
             return; // connection closed while the job was in flight
         };
         if completion.seq != conn.seq {
-            return; // already answered (deadline 503); stale score
+            return; // already answered (deadline 503); stale response
         }
-        let phase = std::mem::replace(&mut conn.phase, ConnPhase::Reading);
-        let ConnPhase::AwaitingScore {
-            app,
-            publisher,
-            consumer,
-            t0,
-            keep_alive,
-        } = phase
+        let ConnPhase::AwaitingJob { t0, keep_alive, .. } =
+            std::mem::replace(&mut conn.phase, ConnPhase::Reading)
         else {
             return;
         };
         conn.seq += 1;
-        let (status, body) = app.predict_response(publisher, consumer, completion.result);
-        self.svc
-            .metrics
-            .observe("serve.predict_seconds", t0.elapsed().as_secs_f64());
-        count_status(&self.svc.metrics, status);
-        self.queue_response(
-            completion.conn,
-            status,
-            JSON,
-            body.as_bytes(),
-            keep_alive,
-            None,
-        );
+        self.answer(completion.conn, t0, completion.routed, keep_alive);
         self.advance(completion.conn, false);
+    }
+
+    /// Time and count one routed response (dispatched at `t0`), then
+    /// queue it.
+    fn answer(&mut self, id: u64, t0: Instant, routed: Routed, keep_alive: bool) {
+        let metrics = &self.svc.metrics;
+        metrics.observe(routed.endpoint, t0.elapsed().as_secs_f64());
+        count_status(metrics, routed.status);
+        self.queue_response(
+            id,
+            routed.status,
+            routed.content_type,
+            routed.body.as_bytes(),
+            keep_alive && !routed.close,
+            routed.retry_after,
+        );
     }
 
     /// Queue one response on the connection's write buffer and reset its
@@ -759,8 +743,7 @@ impl EventLoop {
         }
     }
 
-    /// Timer tick: answer every expired deadline. This is where the
-    /// thread transport's read-timeout polling moved to.
+    /// Timer tick: answer every expired deadline.
     fn expire_deadlines(&mut self) {
         let now = Instant::now();
         let ids: Vec<u64> = self.conns.keys().copied().collect();
@@ -794,25 +777,18 @@ impl EventLoop {
                     );
                     self.advance(id, false);
                 }
-                ConnPhase::AwaitingScore { t0, keep_alive, .. } => {
-                    // The pool couldn't score in time: 503 + Retry-After,
+                &ConnPhase::AwaitingJob {
+                    endpoint,
+                    t0,
+                    keep_alive,
+                } => {
+                    // The pool couldn't finish in time: 503 + Retry-After,
                     // keep-alive preserved; a late completion is stale.
-                    let (t0, keep_alive) = (*t0, *keep_alive);
                     conn.seq += 1;
                     conn.phase = ConnPhase::Reading;
                     self.svc.metrics.counter_add("serve.request_timeouts", 1);
-                    self.svc
-                        .metrics
-                        .observe("serve.predict_seconds", t0.elapsed().as_secs_f64());
-                    count_status(&self.svc.metrics, 503);
-                    self.queue_response(
-                        id,
-                        503,
-                        JSON,
-                        shed_body("scoring missed the request deadline").as_bytes(),
-                        keep_alive,
-                        Some(RETRY_AFTER_SECS),
-                    );
+                    let routed = Routed::shed(endpoint, "the scorers missed the request deadline");
+                    self.answer(id, t0, routed, keep_alive);
                     self.advance(id, false);
                 }
             }
@@ -834,9 +810,9 @@ impl EventLoop {
             let Some(conn) = self.conns.get(&id) else {
                 continue;
             };
-            // In-flight scores get answered; queued writes get flushed;
+            // In-flight jobs get answered; queued writes get flushed;
             // everything else (idle keep-alive, partial reads) closes
-            // now — thread-transport parity.
+            // now.
             if matches!(conn.phase, ConnPhase::Reading) && !conn.write_pending() {
                 self.close_conn(id);
             }

@@ -2,26 +2,18 @@
 //!
 //! Just enough of RFC 9112 for a JSON API: request-line + headers +
 //! `Content-Length` bodies on the way in, fixed-length responses on the
-//! way out. No chunked transfer and no TLS. Pipelined requests are
-//! served, strictly in order, by both transports: the blocking reader
-//! takes them one at a time off a buffered stream, and [`try_parse`]
-//! consumes them from the front of its buffer. Keep-alive follows the
+//! way out. No chunked transfer and no TLS. Keep-alive follows the
 //! HTTP/1.1 default (persistent unless `Connection: close`; HTTP/1.0 is
 //! the reverse).
 //!
-//! Two consumers share the grammar. The blocking path
-//! ([`read_request`]) polls with a short socket timeout so a worker
-//! blocked on an idle keep-alive connection still notices server
-//! shutdown within one poll interval — the price of doing graceful
-//! shutdown with blocking sockets and no `select(2)`. The resumable path
-//! ([`try_parse`]) parses straight out of an accumulated byte buffer and
-//! reports how much it consumed, which is what a readiness-driven
-//! (epoll) transport needs: feed it whatever the socket had, get back a
-//! request or "not yet".
+//! The one parser, [`try_parse`], is resumable: it parses straight out of
+//! an accumulated byte buffer and reports how much it consumed, which is
+//! what the readiness-driven event loop needs. Feed it whatever the
+//! socket had, get back a request or "not yet"; pipelined requests are
+//! consumed, strictly in order, from the front of the buffer.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Largest accepted request line or single header line, in bytes.
@@ -35,11 +27,8 @@ const MAX_HEADERS: usize = 64;
 /// A fresh clock is created for every request on a connection: time spent
 /// *idle* on a keep-alive connection costs nothing, but once the client
 /// has started sending a request, the whole parse → score → reply span
-/// must finish inside the configured timeout. The read loops check
-/// [`RequestClock::expired`] at every socket-timeout poll, so a slowloris
-/// writer is cut off within one poll interval of the deadline; the
-/// handler path checks [`RequestClock::remaining`] before waiting on the
-/// scorer.
+/// must finish inside the configured timeout. The event loop's timer
+/// tick answers whatever is past its [`RequestClock::deadline`].
 #[derive(Debug, Clone)]
 pub struct RequestClock {
     timeout: Option<Duration>,
@@ -65,17 +54,6 @@ impl RequestClock {
     /// The absolute deadline, once armed.
     pub fn deadline(&self) -> Option<Instant> {
         Some(self.started? + self.timeout?)
-    }
-
-    /// Whether the armed deadline has passed.
-    pub fn expired(&self) -> bool {
-        self.deadline().is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Budget left for the rest of the request; `None` means unbounded.
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline()
-            .map(|d| d.saturating_duration_since(Instant::now()))
     }
 }
 
@@ -104,12 +82,9 @@ impl Request {
     }
 }
 
-/// Why reading a request off a connection stopped.
+/// Why a buffer does not hold a request.
 #[derive(Debug)]
-pub enum ReadError {
-    /// Peer closed (or server shutdown interrupted an idle wait) —
-    /// not an error, just the end of the connection.
-    Closed,
+pub enum ParseError {
     /// The bytes were not a parseable HTTP request → respond 400.
     BadRequest(String),
     /// Declared body length exceeds the configured cap → respond 413.
@@ -119,111 +94,15 @@ pub enum ReadError {
         /// The configured cap.
         limit: usize,
     },
-    /// The request's deadline passed before it was fully read → respond
-    /// 408 and free the worker slot.
-    TimedOut,
-    /// Transport failure mid-request.
-    Io(std::io::Error),
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Read one CRLF- (or bare-LF-) terminated line, polling through socket
-/// timeouts until `shutdown` is raised. Partial bytes accumulated before
-/// a timeout are kept (both in `line` and in the `BufReader`), so slow
-/// writers are handled correctly.
-fn read_line(
-    reader: &mut BufReader<&TcpStream>,
-    line: &mut Vec<u8>,
-    shutdown: &AtomicBool,
-    clock: &mut RequestClock,
-) -> Result<(), ReadError> {
-    loop {
-        match reader.read_until(b'\n', line) {
-            Ok(0) => {
-                return Err(if line.is_empty() {
-                    ReadError::Closed
-                } else {
-                    ReadError::BadRequest("connection closed mid-line".into())
-                });
-            }
-            Ok(_) => {
-                clock.mark();
-                // Strip the terminator.
-                if line.last() == Some(&b'\n') {
-                    line.pop();
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                }
-                return Ok(());
-            }
-            Err(e) if is_timeout(&e) => {
-                // read_until may have consumed partial bytes before the
-                // poll timeout — that still arms the request deadline.
-                if !line.is_empty() {
-                    clock.mark();
-                }
-                if shutdown.load(Ordering::Acquire) {
-                    return Err(ReadError::Closed);
-                }
-                if clock.expired() {
-                    return Err(ReadError::TimedOut);
-                }
-                if line.len() > MAX_LINE {
-                    return Err(ReadError::BadRequest(format!(
-                        "header line exceeds {MAX_LINE} bytes"
-                    )));
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ReadError::Io(e)),
-        }
-    }
-}
-
-/// `read_exact` with the same timeout-polling contract as [`read_line`].
-fn read_full(
-    reader: &mut BufReader<&TcpStream>,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-    clock: &mut RequestClock,
-) -> Result<(), ReadError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => return Err(ReadError::BadRequest("connection closed mid-body".into())),
-            Ok(n) => {
-                filled += n;
-                clock.mark();
-            }
-            Err(e) if is_timeout(&e) => {
-                if shutdown.load(Ordering::Acquire) {
-                    return Err(ReadError::Closed);
-                }
-                if clock.expired() {
-                    return Err(ReadError::TimedOut);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ReadError::Io(e)),
-        }
-    }
-    Ok(())
 }
 
 /// Parse `METHOD target HTTP/1.x` → `(method, target, is_http11)`.
-fn parse_request_line(text: &str) -> Result<(&str, &str, bool), ReadError> {
+fn parse_request_line(text: &str) -> Result<(&str, &str, bool), ParseError> {
     let mut parts = text.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
         _ => {
-            return Err(ReadError::BadRequest(format!(
+            return Err(ParseError::BadRequest(format!(
                 "malformed request line: {text:?}"
             )))
         }
@@ -232,7 +111,7 @@ fn parse_request_line(text: &str) -> Result<(&str, &str, bool), ReadError> {
         "HTTP/1.1" => true,
         "HTTP/1.0" => false,
         other => {
-            return Err(ReadError::BadRequest(format!(
+            return Err(ParseError::BadRequest(format!(
                 "unsupported protocol version {other:?}"
             )))
         }
@@ -241,26 +120,26 @@ fn parse_request_line(text: &str) -> Result<(&str, &str, bool), ReadError> {
 }
 
 /// Parse one `Name: value` header line into lowercase-name/trimmed-value.
-fn parse_header_line(text: &str) -> Result<(String, String), ReadError> {
+fn parse_header_line(text: &str) -> Result<(String, String), ParseError> {
     let (name, value) = text
         .split_once(':')
-        .ok_or_else(|| ReadError::BadRequest(format!("malformed header line: {text:?}")))?;
+        .ok_or_else(|| ParseError::BadRequest(format!("malformed header line: {text:?}")))?;
     Ok((name.trim().to_ascii_lowercase(), value.trim().to_owned()))
 }
 
 /// Declared body length (0 when absent), bounds-checked against the cap.
-fn content_length_of(headers: &[(String, String)], max_body: usize) -> Result<usize, ReadError> {
+fn content_length_of(headers: &[(String, String)], max_body: usize) -> Result<usize, ParseError> {
     let content_length = headers
         .iter()
         .find(|(k, _)| k == "content-length")
         .map(|(_, v)| {
             v.parse::<usize>()
-                .map_err(|_| ReadError::BadRequest(format!("bad content-length: {v:?}")))
+                .map_err(|_| ParseError::BadRequest(format!("bad content-length: {v:?}")))
         })
         .transpose()?
         .unwrap_or(0);
     if content_length > max_body {
-        return Err(ReadError::BodyTooLarge {
+        return Err(ParseError::BodyTooLarge {
             declared: content_length,
             limit: max_body,
         });
@@ -296,65 +175,21 @@ fn finish_request(
     }
 }
 
-/// Read and parse one request. `Err(ReadError::Closed)` is the normal end
-/// of a keep-alive connection.
-pub fn read_request(
-    reader: &mut BufReader<&TcpStream>,
-    max_body: usize,
-    shutdown: &AtomicBool,
-    clock: &mut RequestClock,
-) -> Result<Request, ReadError> {
-    let mut line = Vec::new();
-    read_line(reader, &mut line, shutdown, clock)?;
-    if line.len() > MAX_LINE {
-        return Err(ReadError::BadRequest(format!(
-            "request line exceeds {MAX_LINE} bytes"
-        )));
-    }
-    let text = String::from_utf8(line)
-        .map_err(|_| ReadError::BadRequest("request line is not UTF-8".into()))?;
-    let (method, target, http11) = parse_request_line(&text)?;
-
-    let mut headers = Vec::new();
-    loop {
-        let mut line = Vec::new();
-        read_line(reader, &mut line, shutdown, clock)?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(ReadError::BadRequest(format!(
-                "more than {MAX_HEADERS} headers"
-            )));
-        }
-        let text = String::from_utf8(line)
-            .map_err(|_| ReadError::BadRequest("header line is not UTF-8".into()))?;
-        headers.push(parse_header_line(&text)?);
-    }
-
-    let content_length = content_length_of(&headers, max_body)?;
-    let mut body = vec![0u8; content_length];
-    read_full(reader, &mut body, shutdown, clock)?;
-
-    Ok(finish_request(method, target, http11, headers, body))
-}
-
 /// Try to parse one complete request from the front of `buf`.
 ///
-/// The resumable entry point for readiness-driven transports: the caller
-/// accumulates socket bytes in a buffer and re-invokes this after every
+/// The caller accumulates socket bytes in a buffer and re-invokes this after every
 /// read. `Ok(None)` means "incomplete — keep the bytes and wait for
 /// more"; `Ok(Some((request, consumed)))` hands back the request plus how
 /// many bytes it spanned, so the caller can drain them and leave any
-/// pipelined follow-up request in place. Errors map exactly like the
-/// blocking path: 400 for grammar violations, 413 via
-/// [`ReadError::BodyTooLarge`] for an oversized declared body.
+/// pipelined follow-up request in place. Errors map onto statuses: 400
+/// for grammar violations, 413 via [`ParseError::BodyTooLarge`] for an
+/// oversized declared body.
 ///
 /// Grammar limits are enforced *incrementally* — an over-long line or an
 /// over-long header block is rejected as soon as the buffer proves it,
 /// not once a terminator arrives, so a hostile peer cannot grow the
 /// buffer beyond the caps by simply never finishing a line.
-pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<(Request, usize)>, ReadError> {
+pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<(Request, usize)>, ParseError> {
     // Walk the header block line by line.
     let mut start = 0usize; // byte offset where the current line begins
     let mut lines: Vec<&[u8]> = Vec::new();
@@ -364,9 +199,9 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<(Request, usize)>
             // cannot possibly fit the line cap.
             if buf.len() - start > MAX_LINE {
                 return Err(if lines.is_empty() {
-                    ReadError::BadRequest(format!("request line exceeds {MAX_LINE} bytes"))
+                    ParseError::BadRequest(format!("request line exceeds {MAX_LINE} bytes"))
                 } else {
-                    ReadError::BadRequest(format!("header line exceeds {MAX_LINE} bytes"))
+                    ParseError::BadRequest(format!("header line exceeds {MAX_LINE} bytes"))
                 });
             }
             return Ok(None);
@@ -378,16 +213,16 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<(Request, usize)>
         }
         if line.len() > MAX_LINE {
             return Err(if lines.is_empty() {
-                ReadError::BadRequest(format!("request line exceeds {MAX_LINE} bytes"))
+                ParseError::BadRequest(format!("request line exceeds {MAX_LINE} bytes"))
             } else {
-                ReadError::BadRequest(format!("header line exceeds {MAX_LINE} bytes"))
+                ParseError::BadRequest(format!("header line exceeds {MAX_LINE} bytes"))
             });
         }
         if line.is_empty() && !lines.is_empty() {
             break end + 1; // blank line: end of the header block
         }
         if !lines.is_empty() && lines.len() > MAX_HEADERS {
-            return Err(ReadError::BadRequest(format!(
+            return Err(ParseError::BadRequest(format!(
                 "more than {MAX_HEADERS} headers"
             )));
         }
@@ -396,12 +231,12 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<(Request, usize)>
     };
 
     let text = std::str::from_utf8(lines[0])
-        .map_err(|_| ReadError::BadRequest("request line is not UTF-8".into()))?;
+        .map_err(|_| ParseError::BadRequest("request line is not UTF-8".into()))?;
     let (method, target, http11) = parse_request_line(text)?;
     let mut headers = Vec::with_capacity(lines.len() - 1);
     for raw in &lines[1..] {
         let text = std::str::from_utf8(raw)
-            .map_err(|_| ReadError::BadRequest("header line is not UTF-8".into()))?;
+            .map_err(|_| ParseError::BadRequest("header line is not UTF-8".into()))?;
         headers.push(parse_header_line(text)?);
     }
 
@@ -432,20 +267,10 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write a complete fixed-length response.
+/// Write a complete fixed-length response to a blocking socket, with an
+/// optional `Retry-After` header — the shed path's way of telling
+/// well-behaved clients when to come back.
 pub fn write_response(
-    stream: &TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response_ext(stream, status, content_type, body, keep_alive, None)
-}
-
-/// [`write_response`] with an optional `Retry-After` header — the shed
-/// path's way of telling well-behaved clients when to come back.
-pub fn write_response_ext(
     stream: &TcpStream,
     status: u16,
     content_type: &str,
@@ -459,10 +284,9 @@ pub fn write_response_ext(
     w.flush()
 }
 
-/// Serialize a complete fixed-length response into a byte buffer — the
-/// building block both write paths share. The epoll transport queues
-/// these bytes on the connection and flushes them as the socket reports
-/// writability.
+/// Serialize a complete fixed-length response into a byte buffer. The
+/// event loop queues these bytes on the connection and flushes them as
+/// the socket reports writability.
 pub fn format_response(
     status: u16,
     content_type: &str,
@@ -507,29 +331,36 @@ pub fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use std::net::TcpListener;
-    use std::sync::atomic::AtomicBool;
 
-    fn roundtrip(raw: &[u8]) -> Result<Request, ReadError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(raw).unwrap();
-        client.flush().unwrap();
-        let (server, _) = listener.accept().unwrap();
-        server
-            .set_read_timeout(Some(std::time::Duration::from_millis(50)))
-            .unwrap();
-        let shutdown = AtomicBool::new(false);
-        let mut reader = BufReader::new(&server);
-        let mut clock = RequestClock::new(None);
-        read_request(&mut reader, 1024, &shutdown, &mut clock)
+    /// Parse a buffer that must hold exactly one complete request.
+    fn parse(raw: &[u8]) -> Result<Request, ParseError> {
+        let (request, consumed) = try_parse(raw, 1024)?.expect("a complete request");
+        assert_eq!(consumed, raw.len(), "the request spans the whole buffer");
+        Ok(request)
+    }
+
+    /// The event loop's read path: append each chunk to the connection
+    /// buffer, then parse and drain complete requests off its front.
+    fn parse_chunks(chunks: &[&[u8]]) -> Vec<Request> {
+        let mut buf = Vec::new();
+        let mut out = Vec::new();
+        for chunk in chunks {
+            buf.extend_from_slice(chunk);
+            while let Some((request, consumed)) = try_parse(&buf, 1024).unwrap() {
+                buf.drain(..consumed);
+                out.push(request);
+            }
+        }
+        assert!(buf.is_empty(), "bytes left over: {buf:?}");
+        out
     }
 
     #[test]
     fn parses_a_post_with_body() {
-        let req = roundtrip(b"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
-            .unwrap();
+        let req =
+            parse(b"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd").unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/predict");
         assert_eq!(req.body, b"abcd");
@@ -539,24 +370,28 @@ mod tests {
 
     #[test]
     fn connection_close_is_honored() {
-        let req = roundtrip(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let req = parse(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         assert!(!req.keep_alive);
     }
 
     #[test]
     fn malformed_request_line_is_bad_request() {
-        let err = roundtrip(b"NONSENSE\r\n\r\n").unwrap_err();
-        assert!(matches!(err, ReadError::BadRequest(_)), "{err:?}");
+        let err = try_parse(b"NONSENSE\r\n\r\n", 1024).unwrap_err();
+        assert!(matches!(err, ParseError::BadRequest(_)), "{err:?}");
     }
 
     #[test]
     fn oversized_body_is_rejected_by_declared_length() {
-        let err =
-            roundtrip(b"POST /predict HTTP/1.1\r\nContent-Length: 999999\r\n\r\n").unwrap_err();
+        // Rejected from the headers alone, before any body byte arrives.
+        let err = try_parse(
+            b"POST /predict HTTP/1.1\r\nContent-Length: 999999\r\n\r\n",
+            1024,
+        )
+        .unwrap_err();
         assert!(
             matches!(
                 err,
-                ReadError::BodyTooLarge {
+                ParseError::BodyTooLarge {
                     declared: 999999,
                     limit: 1024
                 }
@@ -567,48 +402,39 @@ mod tests {
 
     #[test]
     fn query_strings_are_split_off() {
-        let req = roundtrip(b"GET /healthz?verbose=1 HTTP/1.1\r\n\r\n").unwrap();
+        let req = parse(b"GET /healthz?verbose=1 HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(req.path, "/healthz");
     }
 
     #[test]
     fn stalled_request_times_out_once_the_clock_is_armed() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        // Half a request line, then silence: the first byte arms the
-        // deadline and the poll loop must surface TimedOut.
-        client.write_all(b"POST /pred").unwrap();
-        client.flush().unwrap();
-        let (server, _) = listener.accept().unwrap();
-        server
-            .set_read_timeout(Some(std::time::Duration::from_millis(10)))
-            .unwrap();
-        let shutdown = AtomicBool::new(false);
-        let mut reader = BufReader::new(&server);
-        let mut clock = RequestClock::new(Some(Duration::from_millis(60)));
-        let t0 = Instant::now();
-        let err = read_request(&mut reader, 1024, &shutdown, &mut clock).unwrap_err();
-        assert!(matches!(err, ReadError::TimedOut), "{err:?}");
-        assert!(t0.elapsed() < Duration::from_secs(2), "timed out too late");
         // An idle connection (no bytes at all) never arms the clock.
-        let clock = RequestClock::new(Some(Duration::from_millis(1)));
+        let mut clock = RequestClock::new(Some(Duration::from_millis(1)));
         std::thread::sleep(Duration::from_millis(5));
-        assert!(!clock.expired());
         assert_eq!(clock.deadline(), None);
+        // The first byte arms it; later bytes do not push it back.
+        clock.mark();
+        let deadline = clock.deadline().expect("armed");
+        std::thread::sleep(Duration::from_millis(5));
+        clock.mark();
+        assert_eq!(clock.deadline(), Some(deadline));
+        assert!(Instant::now() >= deadline, "the stalled request is due");
+        // A disabled budget never produces a deadline.
+        let mut unbounded = RequestClock::new(None);
+        unbounded.mark();
+        assert_eq!(unbounded.deadline(), None);
     }
 
     #[test]
     fn retry_after_header_is_emitted_on_request() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
         let (server, _) = listener.accept().unwrap();
-        write_response_ext(&server, 503, "application/json", b"{}", false, Some(2)).unwrap();
+        write_response(&server, 503, "application/json", b"{}", false, Some(2)).unwrap();
         drop(server);
         let mut raw = String::new();
-        let mut r = BufReader::new(client);
-        r.read_to_string(&mut raw).unwrap();
+        client.read_to_string(&mut raw).unwrap();
         assert!(
             raw.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
             "{raw}"
@@ -661,14 +487,44 @@ mod tests {
     }
 
     #[test]
+    fn pipelined_stream_parses_the_same_at_every_split() {
+        let stream: &[u8] = b"POST /predict HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd\
+            GET /healthz HTTP/1.1\r\n\r\n\
+            GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n";
+        let summary = |requests: Vec<Request>| -> Vec<(String, String, Vec<u8>, bool)> {
+            requests
+                .into_iter()
+                .map(|r| (r.method, r.path, r.body, r.keep_alive))
+                .collect()
+        };
+        let whole = summary(parse_chunks(&[stream]));
+        assert_eq!(
+            whole,
+            [
+                ("POST".into(), "/predict".into(), b"abcd".to_vec(), true),
+                ("GET".into(), "/healthz".into(), Vec::new(), true),
+                ("GET".into(), "/metrics".into(), Vec::new(), false),
+            ]
+        );
+        for cut in 0..=stream.len() {
+            let (head, tail) = stream.split_at(cut);
+            assert_eq!(
+                summary(parse_chunks(&[head, tail])),
+                whole,
+                "split at {cut}"
+            );
+        }
+    }
+
+    #[test]
     fn try_parse_rejects_what_the_blocking_parser_rejects() {
         let err = try_parse(b"NONSENSE\r\n\r\n", 1024).unwrap_err();
-        assert!(matches!(err, ReadError::BadRequest(_)), "{err:?}");
+        assert!(matches!(err, ParseError::BadRequest(_)), "{err:?}");
         let err = try_parse(b"POST /p HTTP/1.1\r\nContent-Length: 9999\r\n\r\n", 1024).unwrap_err();
         assert!(
             matches!(
                 err,
-                ReadError::BodyTooLarge {
+                ParseError::BodyTooLarge {
                     declared: 9999,
                     limit: 1024
                 }
@@ -676,7 +532,7 @@ mod tests {
             "{err:?}"
         );
         let err = try_parse(b"GET / HTTP/2\r\n\r\n", 1024).unwrap_err();
-        assert!(matches!(err, ReadError::BadRequest(_)), "{err:?}");
+        assert!(matches!(err, ParseError::BadRequest(_)), "{err:?}");
     }
 
     #[test]
@@ -685,7 +541,7 @@ mod tests {
         // without its terminator — the buffer must not grow unboundedly.
         let flood = vec![b'A'; MAX_LINE + 2];
         let err = try_parse(&flood, 1024).unwrap_err();
-        assert!(matches!(err, ReadError::BadRequest(_)), "{err:?}");
+        assert!(matches!(err, ParseError::BadRequest(_)), "{err:?}");
         // Just under the cap stays Partial.
         assert!(try_parse(&flood[..MAX_LINE], 1024).unwrap().is_none());
     }

@@ -22,27 +22,26 @@
 //! with a vocabulary. Caller mistakes (unknown user/word/topic, malformed
 //! JSON) come back as HTTP 400 with `{"error": ...}` — the predict path
 //! is `Result`-typed end to end ([`cold_core::PredictError`]), so no
-//! request can panic a worker.
+//! request can panic the server.
 //!
 //! ## Shape
 //!
 //! [`app::App`] holds the loaded state (model view, predictor with the
 //! precomputed `ζ` tensor and `TopComm` caches, per-topic influencer
-//! rankings); [`server::Server`] owns the sockets through one of two
-//! transports ([`server::IoMode`]). The default thread transport runs an
-//! acceptor feeding a fixed worker pool, one thread per live connection,
-//! with `/predict` jobs queued to a scorer thread that scores each as
-//! soon as it takes it. The epoll transport (Linux;
-//! [`ServeConfig::io_threads`]) multiplexes every connection onto a few
-//! event loops over a hand-rolled `epoll`/`eventfd` binding — nonblocking
-//! per-connection state machines, buffered writes, deadlines enforced by
-//! timer ticks — and the worker pool becomes pure CPU scorers, so thread
-//! count no longer scales with connections. [`client::HttpClient`] is the
-//! minimal persistent keep-alive client used by the integration tests and
-//! the `bench_serve` load generator (reconnects are counted, not silent).
+//! rankings); [`server::Server`] owns the sockets. A few epoll event loops
+//! ([`ServeConfig::io_threads`], Linux) multiplex every connection over a
+//! hand-rolled `epoll`/`eventfd` binding — nonblocking per-connection
+//! state machines, buffered writes, deadlines enforced by timer ticks —
+//! so thread count does not scale with connections. The loops answer the
+//! cheap endpoints themselves and queue `/predict` and `/reload` on a
+//! pool of scorer threads ([`ServeConfig::workers`]), which run each job
+//! as soon as they take it. [`client::HttpClient`] is the minimal
+//! persistent keep-alive client used by the integration tests and the
+//! `bench_serve` load generator (reconnects are counted, not silent).
 //! Latency lands in `serve.*_seconds` histograms (p50/p95/p99) via
-//! `cold-obs`; every `/predict` job also records its queue wait and score
-//! time (`serve.stage.queue_seconds`, `serve.stage.score_seconds`).
+//! `cold-obs`; every scorer job also records its queue wait
+//! (`serve.stage.queue_seconds`) and every `/predict` its score time
+//! (`serve.stage.score_seconds`).
 //!
 //! ## Robustness
 //!
@@ -51,7 +50,7 @@
 //! `Retry-After` ([`ServeConfig::max_conns`] / [`ServeConfig::max_queue`]),
 //! a per-request deadline covers parse → score → reply
 //! ([`ServeConfig::request_timeout`]), panicking handlers are contained
-//! per-connection and crashed workers respawned under a breaker
+//! per-connection and crashed scorers respawned under a breaker
 //! ([`ServeConfig::respawn_limit`]), and `POST /reload` atomically swaps
 //! a verified new artifact into the [`app::AppSlot`] without dropping
 //! traffic. The [`chaos`] module (feature `chaos`, always on in tests)
@@ -70,4 +69,4 @@ mod sys;
 
 pub use app::{App, AppSlot, ReloadOutcome, ServeError};
 pub use client::{HttpClient, Response};
-pub use server::{IoMode, ServeConfig, Server};
+pub use server::{ServeConfig, Server};

@@ -4,26 +4,22 @@
 //! never a healthy client's answer; overload sheds exactly; panics are
 //! contained, counted, and survived; a crash-looping pool degrades
 //! loudly instead of dying.
-//!
-//! Every transport-agnostic claim runs against both `--io-mode`
-//! backends (Linux; elsewhere the epoll variants don't exist) with the
-//! same exact metric assertions — the accounting contract is part of
-//! the transport abstraction, not an accident of the thread backend.
+#![cfg(target_os = "linux")]
 
 mod common;
 
 use cold_serve::chaos::ChaosPlan;
-use cold_serve::{HttpClient, IoMode};
+use cold_serve::HttpClient;
 use common::{json, num, predict_score, TestServer, PREDICT};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-fn healthy_traffic_survives_chaos_mix(mode: IoMode) {
-    let ts = TestServer::start_with_mode("soak", mode, |_| {});
+#[test]
+fn healthy_traffic_survives_chaos_mix_epoll() {
+    let ts = TestServer::start("soak", |_| {});
     let mut c = ts.client();
     let reference = predict_score(&mut c);
-    // Release the reference connection's worker before the storm.
     drop(c);
 
     let addr = ts.addr;
@@ -75,22 +71,12 @@ fn healthy_traffic_survives_chaos_mix(mode: IoMode) {
 }
 
 #[test]
-fn healthy_traffic_survives_chaos_mix_threads() {
-    healthy_traffic_survives_chaos_mix(IoMode::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn healthy_traffic_survives_chaos_mix_epoll() {
-    healthy_traffic_survives_chaos_mix(IoMode::Epoll);
-}
-
-fn handler_panic_is_contained_to_one_connection(mode: IoMode) {
-    let ts = TestServer::start_with_mode("panic", mode, |c| c.chaos_endpoints = true);
+fn handler_panic_is_contained_to_one_connection_epoll() {
+    let ts = TestServer::start("panic", |c| c.chaos_endpoints = true);
     let mut c = ts.client();
     let reference = predict_score(&mut c);
 
-    // The injected panic unwinds out of the handler; the transport's
+    // The injected panic unwinds out of the handler; the event loop's
     // catch_unwind turns it into a 500 on this connection only.
     let r = ts.client().post("/chaos/panic", "").unwrap();
     assert_eq!(r.status, 500, "{}", r.body);
@@ -105,27 +91,16 @@ fn handler_panic_is_contained_to_one_connection(mode: IoMode) {
 }
 
 #[test]
-fn handler_panic_is_contained_to_one_connection_threads() {
-    handler_panic_is_contained_to_one_connection(IoMode::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn handler_panic_is_contained_to_one_connection_epoll() {
-    handler_panic_is_contained_to_one_connection(IoMode::Epoll);
-}
-
-fn killed_workers_are_respawned_by_the_supervisor(mode: IoMode) {
-    let ts = TestServer::start_with_mode("respawn", mode, |c| c.chaos_endpoints = true);
+fn killed_workers_are_respawned_by_the_supervisor_epoll() {
+    let ts = TestServer::start("respawn", |c| c.chaos_endpoints = true);
     let mut c = ts.client();
     let reference = predict_score(&mut c);
 
     for round in 1..=3u64 {
         let r = ts.client().post("/chaos/panic-worker", "").unwrap();
         assert_eq!(r.status, 200, "{}", r.body);
-        // The worker (thread backend: connection worker; epoll backend:
-        // poisoned scorer) panics after the response; the supervisor
-        // notices within its poll interval and replaces it.
+        // A poisoned scorer panics after the response is queued; the
+        // supervisor notices within its poll interval and replaces it.
         let respawns = ts.wait_counter("serve.worker_respawns", round, Duration::from_secs(5));
         assert_eq!(respawns, round, "supervisor did not respawn worker");
     }
@@ -137,28 +112,14 @@ fn killed_workers_are_respawned_by_the_supervisor(mode: IoMode) {
 }
 
 #[test]
-fn killed_workers_are_respawned_by_the_supervisor_threads() {
-    killed_workers_are_respawned_by_the_supervisor(IoMode::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn killed_workers_are_respawned_by_the_supervisor_epoll() {
-    killed_workers_are_respawned_by_the_supervisor(IoMode::Epoll);
-}
-
-fn respawn_breaker_flips_healthz_to_degraded(mode: IoMode) {
-    let ts = TestServer::start_with_mode("breaker", mode, |c| {
+fn respawn_breaker_flips_healthz_to_degraded_epoll() {
+    let ts = TestServer::start("breaker", |c| {
         c.chaos_endpoints = true;
         c.workers = 2;
         c.respawn_limit = 1;
     });
     let mut c = ts.client();
     let reference = predict_score(&mut c);
-    // With a pool this small, a lingering keep-alive connection would
-    // pin the post-breaker survivor (thread backend); release it.
-    drop(c);
-    std::thread::sleep(Duration::from_millis(200));
 
     // First kill: within budget, respawned.
     assert_eq!(
@@ -200,115 +161,13 @@ fn respawn_breaker_flips_healthz_to_degraded(mode: IoMode) {
 }
 
 #[test]
-fn respawn_breaker_flips_healthz_to_degraded_threads() {
-    respawn_breaker_flips_healthz_to_degraded(IoMode::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn respawn_breaker_flips_healthz_to_degraded_epoll() {
-    respawn_breaker_flips_healthz_to_degraded(IoMode::Epoll);
-}
-
-/// Thread backend only: the shed bound under test is the
-/// accepted-but-unserved queue, plugged by parking its single worker.
-/// The epoll backend's open-connection cap is covered in
-/// `epoll_transport.rs`.
-#[test]
-fn overload_sheds_exactly_beyond_the_connection_bound() {
-    let ts = TestServer::start("shed", |c| {
-        c.workers = 1;
-        c.max_conns = 2;
-        // Disable the deadline so the plug connection holds its worker
-        // for as long as the test needs.
-        c.request_timeout = Duration::ZERO;
-    });
-    let mut warm = ts.client();
-    let reference = predict_score(&mut warm);
-    drop(warm);
-    std::thread::sleep(Duration::from_millis(200));
-
-    // Plug the only worker with a half-sent request.
-    let mut plug = TcpStream::connect(ts.addr).unwrap();
-    plug.write_all(b"POST /pre").unwrap();
-    plug.flush().unwrap();
-    std::thread::sleep(Duration::from_millis(300));
-
-    // Six more connections: the queue takes 2, the other 4 are shed at
-    // accept time with 503 + Retry-After. Shed responses arrive without
-    // the client sending a byte; queued connections stay silent.
-    let streams: Vec<TcpStream> = (0..6)
-        .map(|_| {
-            let s = TcpStream::connect(ts.addr).unwrap();
-            s.set_read_timeout(Some(Duration::from_millis(1500)))
-                .unwrap();
-            s.set_nodelay(true).unwrap();
-            s
-        })
-        .collect();
-    std::thread::sleep(Duration::from_millis(300));
-
-    let mut queued = Vec::new();
-    let mut shed = 0;
-    for mut s in streams {
-        let mut buf = [0u8; 1024];
-        match s.read(&mut buf) {
-            Ok(n) if n > 0 => {
-                let head = String::from_utf8_lossy(&buf[..n]).to_string();
-                assert!(head.starts_with("HTTP/1.1 503"), "{head}");
-                assert!(
-                    head.to_ascii_lowercase().contains("retry-after: 1"),
-                    "shed response lacks Retry-After: {head}"
-                );
-                shed += 1;
-            }
-            Ok(_) => panic!("connection closed without a shed response"),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                queued.push(s);
-            }
-            Err(e) => panic!("unexpected read error: {e}"),
-        }
-    }
-    assert_eq!(shed, 4, "exactly the overflow must be shed");
-    assert_eq!(queued.len(), 2, "queued connections must stay pending");
-
-    // Free the worker: the two queued connections drain and answer.
-    drop(plug);
-    for mut s in queued {
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let request = format!(
-            "POST /predict HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\
-             content-type: application/json\r\ncontent-length: {}\r\n\r\n{PREDICT}",
-            PREDICT.len()
-        );
-        s.write_all(request.as_bytes()).unwrap();
-        let mut response = String::new();
-        s.read_to_string(&mut response).unwrap();
-        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
-        let body = response.split("\r\n\r\n").nth(1).unwrap();
-        assert_eq!(num(json(body).get("score").unwrap()), reference);
-    }
-
-    assert_eq!(ts.counter("serve.shed_conns"), 4);
-    assert_eq!(ts.counter("serve.shed"), 4);
-    assert_eq!(ts.counter("serve.worker_panics"), 0);
-}
-
-fn stalled_request_times_out_with_408_and_frees_the_worker(mode: IoMode) {
-    let ts = TestServer::start_with_mode("stall408", mode, |c| {
+fn stalled_request_times_out_with_408_and_frees_the_worker_epoll() {
+    let ts = TestServer::start("stall408", |c| {
         c.workers = 1;
         c.request_timeout = Duration::from_millis(300);
     });
     let mut warm = ts.client();
     let reference = predict_score(&mut warm);
-    // Free the only worker for the stalled connection.
-    drop(warm);
-    std::thread::sleep(Duration::from_millis(200));
 
     // Arm the clock with a partial request, then stall.
     let mut stall = TcpStream::connect(ts.addr).unwrap();
@@ -322,18 +181,7 @@ fn stalled_request_times_out_with_408_and_frees_the_worker(mode: IoMode) {
     let head = String::from_utf8_lossy(&buf[..n]).to_string();
     assert!(head.starts_with("HTTP/1.1 408"), "{head}");
 
-    // The only worker is free again and still correct.
+    // The server still answers, and correctly.
     assert_eq!(predict_score(&mut ts.client()), reference);
     assert!(ts.counter("serve.request_timeouts") >= 1);
-}
-
-#[test]
-fn stalled_request_times_out_with_408_and_frees_the_worker_threads() {
-    stalled_request_times_out_with_408_and_frees_the_worker(IoMode::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn stalled_request_times_out_with_408_and_frees_the_worker_epoll() {
-    stalled_request_times_out_with_408_and_frees_the_worker(IoMode::Epoll);
 }

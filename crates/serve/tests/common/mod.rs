@@ -3,10 +3,10 @@
 
 #![allow(dead_code)]
 
-use cold_core::{ColdConfig, GibbsSampler, ModelFormat};
+use cold_core::{ColdConfig, ColdModel, GibbsSampler, ModelFormat};
 use cold_graph::CsrGraph;
 use cold_obs::Metrics;
-use cold_serve::{App, HttpClient, IoMode, ServeConfig, Server};
+use cold_serve::{App, HttpClient, ServeConfig, Server};
 use cold_text::CorpusBuilder;
 use serde::Value;
 use std::collections::HashMap;
@@ -20,6 +20,22 @@ pub const WORDS: [&str; 6] = ["football", "goal", "match", "film", "oscar", "act
 /// binary artifact at `dir/name`. Different seeds give models whose
 /// `/predict` scores differ — what the reload tests key on.
 pub fn model_file(dir: &Path, name: &str, seed: u64) -> PathBuf {
+    save(&train(seed), dir, name)
+}
+
+/// [`model_file`] with the users tiled out to `users`: the same answers
+/// for users 0..6, but an artifact whose load takes real time.
+pub fn tiled_model_file(dir: &Path, name: &str, seed: u64, users: u32) -> PathBuf {
+    save(&train(seed).tile_users(users), dir, name)
+}
+
+fn save(model: &ColdModel, dir: &Path, name: &str) -> PathBuf {
+    let path = dir.join(name);
+    model.save_as(&path, ModelFormat::Binary).unwrap();
+    path
+}
+
+fn train(seed: u64) -> ColdModel {
     let mut b = CorpusBuilder::new();
     let sports = &WORDS[..3];
     let movie = &WORDS[3..];
@@ -39,10 +55,7 @@ pub fn model_file(dir: &Path, name: &str, seed: u64) -> PathBuf {
     let config = ColdConfig::builder(2, 2)
         .iterations(30)
         .build(&corpus, &graph);
-    let model = GibbsSampler::new(&corpus, &graph, config, seed).run();
-    let path = dir.join(name);
-    model.save_as(&path, ModelFormat::Binary).unwrap();
-    path
+    GibbsSampler::new(&corpus, &graph, config, seed).run()
 }
 
 /// A world whose vocabulary has one extra word — its artifact has a
@@ -90,43 +103,17 @@ pub struct TestServer {
     pub model: PathBuf,
 }
 
-/// The transports available on this platform — the epoll backend only
-/// exists on Linux; elsewhere the suites cover the thread backend alone.
-pub fn io_modes() -> Vec<IoMode> {
-    #[cfg(target_os = "linux")]
-    {
-        vec![IoMode::Threads, IoMode::Epoll]
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        vec![IoMode::Threads]
-    }
-}
-
 impl TestServer {
     /// Start a server on a fresh tiny world; `configure` tweaks the
     /// defaults (workers 4, port 0, everything else stock).
     pub fn start(tag: &str, configure: impl FnOnce(&mut ServeConfig)) -> Self {
-        Self::start_with_mode(tag, IoMode::Threads, configure)
-    }
-
-    /// [`TestServer::start`] under an explicit transport — how the
-    /// chaos/reload suites prove both backends keep the same exact
-    /// metric accounting.
-    pub fn start_with_mode(
-        tag: &str,
-        io_mode: IoMode,
-        configure: impl FnOnce(&mut ServeConfig),
-    ) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("cold_serve_{tag}_{io_mode}_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("cold_serve_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let model = model_file(&dir, "current.cold", 5);
         let app = App::load(&model, 2, 16, Some(vocab()), Metrics::enabled()).unwrap();
         let mut config = ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
-            io_mode,
             workers: 4,
             ..ServeConfig::default()
         };

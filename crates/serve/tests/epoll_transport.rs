@@ -1,18 +1,22 @@
-//! Epoll-transport-specific behavior (Linux only): the open-connection
-//! cap, cross-loop connection handoff, incremental parsing of split and
-//! pipelined requests, and the transport's own metrics
-//! (`serve.open_conns`, `serve.epoll_wakeups`, `serve.io_read_partial`,
-//! `serve.io_write_partial`). Transport-agnostic semantics are covered
-//! by the parameterized chaos/reload/http suites.
+//! The event loops' own behavior: the open-connection cap, cross-loop
+//! connection handoff, incremental parsing of split and pipelined
+//! requests, slow jobs kept off the loop, job deadlines, and the
+//! transport's own metrics (`serve.open_conns`, `serve.epoll_wakeups`,
+//! `serve.io_read_partial`). Endpoint semantics are covered by the
+//! chaos/reload/http suites.
 #![cfg(target_os = "linux")]
 
 mod common;
 
-use cold_serve::IoMode;
-use common::{json, num, predict_score, TestServer, PREDICT};
+use common::{json, num, predict_score, tiled_model_file, TestServer, PREDICT};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Users in the artifact the slow-job tests reload: enough that loading
+/// it (predictor and influencer-ranking precompute) takes far longer
+/// than answering a `/predict`.
+const SLOW_LOAD_USERS: u32 = 1_000_000;
 
 /// Extract one gauge from a `cold-obs/v1` JSONL snapshot body.
 fn gauge_in(metrics_body: &str, name: &str) -> Option<f64> {
@@ -25,7 +29,7 @@ fn gauge_in(metrics_body: &str, name: &str) -> Option<f64> {
 
 #[test]
 fn open_connection_cap_sheds_with_503() {
-    let ts = TestServer::start_with_mode("epoll_cap", IoMode::Epoll, |c| {
+    let ts = TestServer::start("epoll_cap", |c| {
         c.max_conns = 2;
     });
     // Two live connections occupy the cap.
@@ -68,7 +72,7 @@ fn open_connection_cap_sheds_with_503() {
 
 #[test]
 fn connections_are_handed_across_io_loops() {
-    let ts = TestServer::start_with_mode("epoll_handoff", IoMode::Epoll, |c| {
+    let ts = TestServer::start("epoll_handoff", |c| {
         c.io_threads = 2;
         c.workers = 2;
     });
@@ -110,7 +114,7 @@ fn connections_are_handed_across_io_loops() {
 
 #[test]
 fn split_and_pipelined_requests_parse_incrementally() {
-    let ts = TestServer::start_with_mode("epoll_pipeline", IoMode::Epoll, |_| {});
+    let ts = TestServer::start("epoll_pipeline", |_| {});
 
     // Two complete requests in one write: both answered, in order, on
     // the same connection.
@@ -121,10 +125,10 @@ fn split_and_pipelined_requests_parse_incrementally() {
     s.write_all(format!("{one}{one}").as_bytes()).unwrap();
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let deadline = Instant::now() + Duration::from_secs(5);
     while buf.windows(12).filter(|w| w == b"HTTP/1.1 200").count() < 2 {
         assert!(
-            std::time::Instant::now() < deadline,
+            Instant::now() < deadline,
             "pipelined responses never arrived: {:?}",
             String::from_utf8_lossy(&buf)
         );
@@ -176,12 +180,117 @@ fn split_and_pipelined_requests_parse_incrementally() {
     );
 }
 
+/// Send a raw `POST` on a fresh connection without reading the answer.
+fn post_unread(addr: std::net::SocketAddr, path: &str, body: &str) -> TcpStream {
+    let mut s = TcpStream::connect(addr).unwrap();
+    let request = format!(
+        "POST {path} HTTP/1.1\r\nhost: t\r\ncontent-type: application/json\r\n\
+         content-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    s.write_all(request.as_bytes()).unwrap();
+    s
+}
+
+/// Read one whole response (headers + `content-length` body).
+fn read_response(s: &mut TcpStream, timeout: Duration) -> String {
+    s.set_read_timeout(Some(timeout)).unwrap();
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        let text = String::from_utf8_lossy(&buf).to_string();
+        if let Some((head, body)) = text.split_once("\r\n\r\n") {
+            let len: usize = head
+                .lines()
+                .find_map(|l| l.strip_prefix("content-length: "))
+                .and_then(|v| v.trim().parse().ok())
+                .unwrap_or(0);
+            if body.len() >= len {
+                return text;
+            }
+        }
+        let n = s.read(&mut chunk).expect("response within the timeout");
+        assert!(n > 0, "connection closed mid-response: {text:?}");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
 #[test]
-fn io_mode_parses_and_displays() {
-    assert_eq!("epoll".parse::<IoMode>().unwrap(), IoMode::Epoll);
-    assert_eq!("threads".parse::<IoMode>().unwrap(), IoMode::Threads);
-    assert_eq!("THREAD".parse::<IoMode>().unwrap(), IoMode::Threads);
-    assert!("kqueue".parse::<IoMode>().is_err());
-    assert_eq!(IoMode::Epoll.to_string(), "epoll");
-    assert_eq!(IoMode::Threads.to_string(), "threads");
+fn reload_runs_off_the_event_loop() {
+    // One event loop owns both connections: a reload run on it would
+    // hold up the other connection's /predict until the load finished.
+    let ts = TestServer::start("offloop_reload", |c| {
+        c.io_threads = 1;
+        c.workers = 2;
+    });
+    let big = tiled_model_file(&ts.dir, "big.cold", 5, SLOW_LOAD_USERS);
+    let reference = predict_score(&mut ts.client());
+
+    // A: the reload, unread. B: a /predict on another connection.
+    let t0 = Instant::now();
+    let mut a = post_unread(
+        ts.addr,
+        "/reload",
+        &format!("{{\"model\":\"{}\"}}", big.display()),
+    );
+    assert_eq!(predict_score(&mut ts.client()), reference);
+    let b_done = t0.elapsed();
+
+    // B was answered while A's reload was still loading.
+    a.set_nonblocking(true).unwrap();
+    let pending = a.read(&mut [0u8; 64]);
+    assert!(
+        matches!(&pending, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the reload answered before the /predict on the other connection ({b_done:?}): {pending:?}"
+    );
+    a.set_nonblocking(false).unwrap();
+
+    // A then gets its 200 with the new generation.
+    let answer = read_response(&mut a, Duration::from_secs(120));
+    assert!(answer.starts_with("HTTP/1.1 200"), "{answer}");
+    let body = answer.split("\r\n\r\n").nth(1).unwrap();
+    assert_eq!(num(json(body).get("generation").unwrap()) as u64, 1);
+    assert_eq!(
+        num(json(body).get("users").unwrap()) as u32,
+        SLOW_LOAD_USERS
+    );
+    assert_eq!(ts.counter("serve.reloads_ok"), 1);
+}
+
+#[test]
+fn a_job_that_misses_its_deadline_gets_503() {
+    // One scorer, busy with a slow reload: the /predict queued behind it
+    // cannot be scored within the request deadline. One loop, so the
+    // reload is queued first.
+    let ts = TestServer::start("job_deadline", |c| {
+        c.io_threads = 1;
+        c.workers = 1;
+        c.request_timeout = Duration::from_millis(10);
+    });
+    let big = tiled_model_file(&ts.dir, "big.cold", 5, SLOW_LOAD_USERS);
+    let _reload = post_unread(
+        ts.addr,
+        "/reload",
+        &format!("{{\"model\":\"{}\"}}", big.display()),
+    );
+
+    let r = ts.client().post("/predict", PREDICT).unwrap();
+    assert_eq!(r.status, 503, "{}", r.body);
+    assert_eq!(r.retry_after, Some(1));
+    assert!(r.body.contains("missed the request deadline"), "{}", r.body);
+    assert!(r.keep_alive, "a missed deadline keeps the connection");
+
+    // The reload still lands; the expired /predict is then skipped, not
+    // scored late.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while ts.counter("serve.reloads_ok") < 1 {
+        assert!(Instant::now() < deadline, "the reload never finished");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert_eq!(
+        ts.wait_counter("serve.batch_expired", 1, Duration::from_secs(5)),
+        1
+    );
+    assert!(ts.counter("serve.request_timeouts") >= 1);
+    assert!(ts.counter("serve.responses_503") >= 1);
 }

@@ -4,17 +4,19 @@
 //! it started with, and per-connection score streams are a clean
 //! old-prefix/new-suffix); a corrupt or dimension-skewed artifact is
 //! rejected with the old model still serving.
+#![cfg(target_os = "linux")]
 
 mod common;
 
-use cold_serve::{HttpClient, IoMode};
+use cold_serve::HttpClient;
 use common::{json, model_file, num, predict_score, skewed_model_file, TestServer, PREDICT};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn reload_swaps_models_atomically_under_load(mode: IoMode) {
-    let ts = TestServer::start_with_mode("reload_load", mode, |_| {});
+#[test]
+fn reload_swaps_models_atomically_under_load_epoll() {
+    let ts = TestServer::start("reload_load", |_| {});
     let next = model_file(&ts.dir, "next.cold", 77);
     let mut c = ts.client();
     let score_a = predict_score(&mut c);
@@ -76,18 +78,8 @@ fn reload_swaps_models_atomically_under_load(mode: IoMode) {
 }
 
 #[test]
-fn reload_swaps_models_atomically_under_load_threads() {
-    reload_swaps_models_atomically_under_load(IoMode::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn reload_swaps_models_atomically_under_load_epoll() {
-    reload_swaps_models_atomically_under_load(IoMode::Epoll);
-}
-
-fn corrupt_and_skewed_reloads_are_rejected_with_the_old_model_serving(mode: IoMode) {
-    let ts = TestServer::start_with_mode("reload_bad", mode, |_| {});
+fn corrupt_and_skewed_reloads_are_rejected_epoll() {
+    let ts = TestServer::start("reload_bad", |_| {});
     let mut c = ts.client();
     let score_a = predict_score(&mut c);
 
@@ -135,18 +127,8 @@ fn corrupt_and_skewed_reloads_are_rejected_with_the_old_model_serving(mode: IoMo
 }
 
 #[test]
-fn corrupt_and_skewed_reloads_are_rejected_threads() {
-    corrupt_and_skewed_reloads_are_rejected_with_the_old_model_serving(IoMode::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn corrupt_and_skewed_reloads_are_rejected_epoll() {
-    corrupt_and_skewed_reloads_are_rejected_with_the_old_model_serving(IoMode::Epoll);
-}
-
-fn watch_model_picks_up_a_replaced_artifact(mode: IoMode) {
-    let ts = TestServer::start_with_mode("watch", mode, |c| {
+fn watch_model_picks_up_a_replaced_artifact_epoll() {
+    let ts = TestServer::start("watch", |c| {
         c.watch_model = Some(Duration::from_millis(150));
     });
     let mut c = ts.client();
@@ -173,15 +155,4 @@ fn watch_model_picks_up_a_replaced_artifact(mode: IoMode) {
     assert_eq!(ts.counter("serve.watch_reloads"), 1);
     let h = json(&ts.client().get("/healthz").unwrap().body);
     assert_eq!(num(h.get("generation").unwrap()) as u64, 1);
-}
-
-#[test]
-fn watch_model_picks_up_a_replaced_artifact_threads() {
-    watch_model_picks_up_a_replaced_artifact(IoMode::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn watch_model_picks_up_a_replaced_artifact_epoll() {
-    watch_model_picks_up_a_replaced_artifact(IoMode::Epoll);
 }

@@ -1,112 +1,18 @@
 //! End-to-end tests of `cold-serve` over a real TCP socket: every
 //! endpoint, keep-alive reuse, malformed and oversized requests,
 //! concurrent clients, metrics consistency, and graceful shutdown.
+#![cfg(target_os = "linux")]
 
 mod common;
 
-use cold_core::{ColdConfig, GibbsSampler, ModelFormat};
-use cold_graph::CsrGraph;
-use cold_obs::Metrics;
-use cold_serve::{App, HttpClient, IoMode, ServeConfig, Server};
-use cold_text::CorpusBuilder;
+use cold_serve::HttpClient;
+use common::{json, num, TestServer};
 use serde::Value;
-use std::collections::HashMap;
 use std::time::Duration;
 
-/// Train a small two-block model and save it as a binary artifact.
-fn model_file(dir: &std::path::Path) -> std::path::PathBuf {
-    let mut b = CorpusBuilder::new();
-    let sports = ["football", "goal", "match"];
-    let movie = ["film", "oscar", "actor"];
-    for u in 0..3u32 {
-        for rep in 0..4u16 {
-            b.push_text(u, rep % 2, &sports);
-        }
-    }
-    for u in 3..6u32 {
-        for rep in 0..4u16 {
-            b.push_text(u, 2 + rep % 2, &movie);
-        }
-    }
-    let corpus = b.build();
-    let edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)];
-    let graph = CsrGraph::from_edges(6, &edges);
-    let config = ColdConfig::builder(2, 2)
-        .iterations(30)
-        .build(&corpus, &graph);
-    let model = GibbsSampler::new(&corpus, &graph, config, 5).run();
-    let path = dir.join("model.cold");
-    model.save_as(&path, ModelFormat::Binary).unwrap();
-    path
-}
-
-fn vocab() -> HashMap<String, u32> {
-    // Matches CorpusBuilder's insertion order above.
-    ["football", "goal", "match", "film", "oscar", "actor"]
-        .iter()
-        .enumerate()
-        .map(|(i, w)| ((*w).to_owned(), i as u32))
-        .collect()
-}
-
-struct TestServer {
-    server: Option<Server>,
-    addr: std::net::SocketAddr,
-    dir: std::path::PathBuf,
-}
-
-impl TestServer {
-    fn start(tag: &str, mode: IoMode, max_body: usize) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("cold_serve_{tag}_{mode}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = model_file(&dir);
-        let app = App::load(&path, 2, 16, Some(vocab()), Metrics::enabled()).unwrap();
-        let config = ServeConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            io_mode: mode,
-            workers: 4,
-            max_body,
-            ..ServeConfig::default()
-        };
-        let server = Server::start(config, app).unwrap();
-        let addr = server.addr();
-        Self {
-            server: Some(server),
-            addr,
-            dir,
-        }
-    }
-
-    fn client(&self) -> HttpClient {
-        HttpClient::connect(self.addr, Duration::from_secs(10)).unwrap()
-    }
-}
-
-impl Drop for TestServer {
-    fn drop(&mut self) {
-        if let Some(server) = self.server.take() {
-            server.shutdown();
-        }
-        std::fs::remove_dir_all(&self.dir).ok();
-    }
-}
-
-fn json(body: &str) -> Value {
-    serde_json::from_str(body).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e}"))
-}
-
-fn num(v: &Value) -> f64 {
-    match v {
-        Value::Int(n) => *n as f64,
-        Value::UInt(n) => *n as f64,
-        Value::Float(f) => *f,
-        other => panic!("expected number, got {other:?}"),
-    }
-}
-
-fn all_endpoints_answer_on_one_keepalive_connection(mode: IoMode) {
-    let ts = TestServer::start("endpoints", mode, 64 * 1024);
+#[test]
+fn all_endpoints_answer_on_one_keepalive_connection_epoll() {
+    let ts = TestServer::start("endpoints", |_| {});
     let mut c = ts.client();
 
     let health = c.get("/healthz").unwrap();
@@ -177,18 +83,8 @@ fn all_endpoints_answer_on_one_keepalive_connection(mode: IoMode) {
 }
 
 #[test]
-fn all_endpoints_answer_on_one_keepalive_connection_threads() {
-    all_endpoints_answer_on_one_keepalive_connection(IoMode::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn all_endpoints_answer_on_one_keepalive_connection_epoll() {
-    all_endpoints_answer_on_one_keepalive_connection(IoMode::Epoll);
-}
-
-fn caller_mistakes_are_400_not_panics(mode: IoMode) {
-    let ts = TestServer::start("badreq", mode, 64 * 1024);
+fn caller_mistakes_are_400_not_panics_epoll() {
+    let ts = TestServer::start("badreq", |_| {});
     let mut c = ts.client();
 
     // Unknown user id.
@@ -254,18 +150,8 @@ fn caller_mistakes_are_400_not_panics(mode: IoMode) {
 }
 
 #[test]
-fn caller_mistakes_are_400_not_panics_threads() {
-    caller_mistakes_are_400_not_panics(IoMode::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn caller_mistakes_are_400_not_panics_epoll() {
-    caller_mistakes_are_400_not_panics(IoMode::Epoll);
-}
-
-fn oversized_body_gets_413(mode: IoMode) {
-    let ts = TestServer::start("oversize", mode, 256);
+fn oversized_body_gets_413_epoll() {
+    let ts = TestServer::start("oversize", |c| c.max_body = 256);
     let mut c = ts.client();
     let huge = format!(
         "{{\"publisher\":0,\"consumer\":1,\"words\":[{}]}}",
@@ -277,18 +163,8 @@ fn oversized_body_gets_413(mode: IoMode) {
 }
 
 #[test]
-fn oversized_body_gets_413_threads() {
-    oversized_body_gets_413(IoMode::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn oversized_body_gets_413_epoll() {
-    oversized_body_gets_413(IoMode::Epoll);
-}
-
-fn concurrent_clients_all_get_consistent_answers(mode: IoMode) {
-    let ts = TestServer::start("concurrent", mode, 64 * 1024);
+fn concurrent_clients_all_get_consistent_answers_epoll() {
+    let ts = TestServer::start("concurrent", |_| {});
     // Reference answer on a warm connection.
     let mut c = ts.client();
     let reference = num(json(
@@ -345,18 +221,8 @@ fn concurrent_clients_all_get_consistent_answers(mode: IoMode) {
 }
 
 #[test]
-fn concurrent_clients_all_get_consistent_answers_threads() {
-    concurrent_clients_all_get_consistent_answers(IoMode::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn concurrent_clients_all_get_consistent_answers_epoll() {
-    concurrent_clients_all_get_consistent_answers(IoMode::Epoll);
-}
-
-fn shutdown_endpoint_stops_the_server_cleanly(mode: IoMode) {
-    let mut ts = TestServer::start("shutdown", mode, 64 * 1024);
+fn shutdown_endpoint_stops_the_server_cleanly_epoll() {
+    let mut ts = TestServer::start("shutdown", |_| {});
     let mut c = ts.client();
     assert_eq!(c.get("/healthz").unwrap().status, 200);
     let r = c.post("/shutdown", "").unwrap();
@@ -368,15 +234,4 @@ fn shutdown_endpoint_stops_the_server_cleanly(mode: IoMode) {
     let after = HttpClient::connect(ts.addr, Duration::from_millis(500))
         .and_then(|mut c| c.get("/healthz"));
     assert!(after.is_err(), "server still answering after shutdown");
-}
-
-#[test]
-fn shutdown_endpoint_stops_the_server_cleanly_threads() {
-    shutdown_endpoint_stops_the_server_cleanly(IoMode::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn shutdown_endpoint_stops_the_server_cleanly_epoll() {
-    shutdown_endpoint_stops_the_server_cleanly(IoMode::Epoll);
 }

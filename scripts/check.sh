@@ -117,126 +117,98 @@ cargo run -q --release -p cold-cli -- replay-check \
   --trace "$SMOKE_DIR/trace_crash.jsonl,$SMOKE_DIR/trace_resume.jsonl" \
   --fuzz 20
 
-# The serve and chaos smokes run once per transport. The epoll backend
-# is Linux-only; elsewhere only the thread backend is exercised.
-IO_MODES="threads"
-if [ "$(uname -s)" = "Linux" ]; then
-  IO_MODES="threads epoll"
-else
-  echo "(non-Linux host: skipping --io-mode epoll smoke stages)"
-fi
-
-# serve_smoke MODE PORT — binary model → cold serve → all endpoints →
-# clean stop. Each answer must carry the expected JSON fields, caller
-# mistakes must come back 400 (never a worker panic), and POST /shutdown
-# must drain the server to a clean exit 0.
-serve_smoke() {
-  local mode="$1" port="$2"
-  cargo run -q --release -p cold-cli -- serve \
-    --model "$SMOKE_DIR/model_sparse.bin" --data "$SMOKE_DIR/world.json" \
-    --port "$port" --workers 2 --io-mode "$mode" \
-    > "$SMOKE_DIR/serve_$mode.log" 2>&1 &
-  local pid=$!
-  for _ in $(seq 1 50); do
-    curl -sf "http://127.0.0.1:$port/healthz" >/dev/null 2>&1 && break
-    sleep 0.1
-  done
-  local base="http://127.0.0.1:$port"
-  curl -sf "$base/healthz" | grep -q '"status":"ok"'
-  curl -sf "$base/healthz" | grep -q '"backing":"mapped"'
-  curl -sf -X POST "$base/predict" \
-    -d '{"publisher":0,"consumer":1,"words":[0,1,2]}' | grep -q '"score":'
-  curl -sf -X POST "$base/rank-influencers" \
-    -d '{"topic":0,"limit":3}' | grep -q '"influencers":'
-  curl -sf "$base/communities/5" | grep -q '"top_communities":'
-  curl -sf "$base/metrics" | grep -q '"schema":"cold-obs/v1"'
-  # Caller mistakes are 400s with an error body, not panics.
-  local st
-  st=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$base/predict" \
-    -d '{"publisher":99999,"consumer":1,"words":[0]}')
-  if [ "$st" != "400" ]; then
-    echo "unknown user returned HTTP $st, wanted 400 (io-mode $mode)" >&2
-    exit 1
-  fi
-  st=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$base/predict" -d '{bad json')
-  if [ "$st" != "400" ]; then
-    echo "malformed JSON returned HTTP $st, wanted 400 (io-mode $mode)" >&2
-    exit 1
-  fi
-  curl -sf -X POST "$base/shutdown" | grep -q 'shutting down'
-  wait "$pid"
-  grep -q "drained and stopped" "$SMOKE_DIR/serve_$mode.log"
-  echo "all endpoints answered under --io-mode $mode; server drained to a clean exit"
-}
-
-# chaos_smoke MODE PORT — the robustness contract end to end on a real
-# process: healthy clients keep getting bit-identical answers while
-# seeded network faults, a contained handler panic, and a worker kill
-# (respawned by the supervisor) land concurrently; a corrupt /reload is
-# rejected with the old model still serving; a valid /reload swaps
-# generations; and the server still drains to a clean exit 0.
-chaos_smoke() {
-  local mode="$1" port="$2"
-  cargo run -q --release -p cold-cli -- serve \
-    --model "$SMOKE_DIR/model_sparse.bin" --data "$SMOKE_DIR/world.json" \
-    --port "$port" --workers 2 --chaos true --io-mode "$mode" \
-    --max-conns 32 --max-queue 64 --request-timeout-ms 2000 \
-    > "$SMOKE_DIR/chaos_serve_$mode.log" 2>&1 &
-  local pid=$!
-  for _ in $(seq 1 50); do
-    curl -sf "http://127.0.0.1:$port/healthz" >/dev/null 2>&1 && break
-    sleep 0.1
-  done
-  local cbase="http://127.0.0.1:$port"
-  local ref after st
-  ref=$(curl -sf -X POST "$cbase/predict" -d '{"publisher":0,"consumer":1,"words":[0]}')
-  cargo run -q --release -p cold-bench --bin chaos_client -- \
-    --addr "127.0.0.1:$port" --healthy 3 --chaos 3 --requests 40 \
-    --faults 10 --seed 9 --stall-ms 150 --kill-workers 1
-  # A deliberately corrupt artifact must be rejected (409) with the old
-  # model untouched and still serving.
-  head -c 200 "$SMOKE_DIR/model_sparse.bin" > "$SMOKE_DIR/model_corrupt.bin"
-  st=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$cbase/reload" \
-    -d "{\"model\":\"$SMOKE_DIR/model_corrupt.bin\"}")
-  if [ "$st" != "409" ]; then
-    echo "corrupt reload returned HTTP $st, wanted 409 (io-mode $mode)" >&2
-    exit 1
-  fi
-  after=$(curl -sf -X POST "$cbase/predict" -d '{"publisher":0,"consumer":1,"words":[0]}')
-  if [ "$ref" != "$after" ]; then
-    echo "answer changed after a rejected reload: $ref -> $after (io-mode $mode)" >&2
-    exit 1
-  fi
-  # A valid artifact hot-swaps in (same bytes here, so same answers).
-  cp "$SMOKE_DIR/model_sparse.bin" "$SMOKE_DIR/model_copy.bin"
-  curl -sf -X POST "$cbase/reload" -d "{\"model\":\"$SMOKE_DIR/model_copy.bin\"}" \
-    | grep -q '"generation":1'
-  curl -sf "$cbase/healthz" | grep -q '"generation":1'
-  after=$(curl -sf -X POST "$cbase/predict" -d '{"publisher":0,"consumer":1,"words":[0]}')
-  if [ "$ref" != "$after" ]; then
-    echo "answer changed after a same-bytes reload: $ref -> $after (io-mode $mode)" >&2
-    exit 1
-  fi
-  curl -sf -X POST "$cbase/shutdown" | grep -q 'shutting down'
-  wait "$pid"
-  grep -q "drained and stopped" "$SMOKE_DIR/chaos_serve_$mode.log"
-  echo "io-mode $mode: chaos mix survived; corrupt reload rejected; valid reload swapped; clean drain"
-}
-
-# Distinct port per (stage, mode) so a lingering TIME_WAIT from one run
-# never collides with the next.
+# serve-smoke — binary model → cold serve → all endpoints → clean stop.
+# Each answer must carry the expected JSON fields, caller mistakes must
+# come back 400 (never a worker panic), and POST /shutdown must drain the
+# server to a clean exit 0.
+echo "== serve-smoke (binary model → cold serve → all endpoints → clean stop) =="
 SERVE_PORT=18395
+cargo run -q --release -p cold-cli -- serve \
+  --model "$SMOKE_DIR/model_sparse.bin" --data "$SMOKE_DIR/world.json" \
+  --port "$SERVE_PORT" --workers 2 \
+  > "$SMOKE_DIR/serve.log" 2>&1 &
+serve_pid=$!
+for _ in $(seq 1 50); do
+  curl -sf "http://127.0.0.1:$SERVE_PORT/healthz" >/dev/null 2>&1 && break
+  sleep 0.1
+done
+base="http://127.0.0.1:$SERVE_PORT"
+curl -sf "$base/healthz" | grep -q '"status":"ok"'
+curl -sf "$base/healthz" | grep -q '"backing":"mapped"'
+curl -sf -X POST "$base/predict" \
+  -d '{"publisher":0,"consumer":1,"words":[0,1,2]}' | grep -q '"score":'
+curl -sf -X POST "$base/rank-influencers" \
+  -d '{"topic":0,"limit":3}' | grep -q '"influencers":'
+curl -sf "$base/communities/5" | grep -q '"top_communities":'
+curl -sf "$base/metrics" | grep -q '"schema":"cold-obs/v1"'
+# Caller mistakes are 400s with an error body, not panics.
+st=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$base/predict" \
+  -d '{"publisher":99999,"consumer":1,"words":[0]}')
+if [ "$st" != "400" ]; then
+  echo "unknown user returned HTTP $st, wanted 400" >&2
+  exit 1
+fi
+st=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$base/predict" -d '{bad json')
+if [ "$st" != "400" ]; then
+  echo "malformed JSON returned HTTP $st, wanted 400" >&2
+  exit 1
+fi
+curl -sf -X POST "$base/shutdown" | grep -q 'shutting down'
+wait "$serve_pid"
+grep -q "drained and stopped" "$SMOKE_DIR/serve.log"
+echo "all endpoints answered; server drained to a clean exit"
+
+# chaos-smoke — the robustness contract end to end on a real process:
+# healthy clients keep getting bit-identical answers while seeded network
+# faults, a contained handler panic, and a worker kill (respawned by the
+# supervisor) land concurrently; a corrupt /reload is rejected with the
+# old model still serving; a valid /reload swaps generations; and the
+# server still drains to a clean exit 0.
+echo "== chaos-smoke (seeded faults + worker kill + reload under a live server) =="
 CHAOS_PORT=18396
-for mode in $IO_MODES; do
-  echo "== serve-smoke --io-mode $mode (binary model → cold serve → all endpoints → clean stop) =="
-  serve_smoke "$mode" "$SERVE_PORT"
-  SERVE_PORT=$((SERVE_PORT + 10))
+cargo run -q --release -p cold-cli -- serve \
+  --model "$SMOKE_DIR/model_sparse.bin" --data "$SMOKE_DIR/world.json" \
+  --port "$CHAOS_PORT" --workers 2 --chaos true \
+  --max-conns 32 --max-queue 64 --request-timeout-ms 2000 \
+  > "$SMOKE_DIR/chaos_serve.log" 2>&1 &
+chaos_pid=$!
+for _ in $(seq 1 50); do
+  curl -sf "http://127.0.0.1:$CHAOS_PORT/healthz" >/dev/null 2>&1 && break
+  sleep 0.1
 done
-for mode in $IO_MODES; do
-  echo "== chaos-smoke --io-mode $mode (seeded faults + worker kill + reload under a live server) =="
-  chaos_smoke "$mode" "$CHAOS_PORT"
-  CHAOS_PORT=$((CHAOS_PORT + 10))
-done
+cbase="http://127.0.0.1:$CHAOS_PORT"
+ref=$(curl -sf -X POST "$cbase/predict" -d '{"publisher":0,"consumer":1,"words":[0]}')
+cargo run -q --release -p cold-bench --bin chaos_client -- \
+  --addr "127.0.0.1:$CHAOS_PORT" --healthy 3 --chaos 3 --requests 40 \
+  --faults 10 --seed 9 --stall-ms 150 --kill-workers 1
+# A deliberately corrupt artifact must be rejected (409) with the old
+# model untouched and still serving.
+head -c 200 "$SMOKE_DIR/model_sparse.bin" > "$SMOKE_DIR/model_corrupt.bin"
+st=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$cbase/reload" \
+  -d "{\"model\":\"$SMOKE_DIR/model_corrupt.bin\"}")
+if [ "$st" != "409" ]; then
+  echo "corrupt reload returned HTTP $st, wanted 409" >&2
+  exit 1
+fi
+after=$(curl -sf -X POST "$cbase/predict" -d '{"publisher":0,"consumer":1,"words":[0]}')
+if [ "$ref" != "$after" ]; then
+  echo "answer changed after a rejected reload: $ref -> $after" >&2
+  exit 1
+fi
+# A valid artifact hot-swaps in (same bytes here, so same answers).
+cp "$SMOKE_DIR/model_sparse.bin" "$SMOKE_DIR/model_copy.bin"
+curl -sf -X POST "$cbase/reload" -d "{\"model\":\"$SMOKE_DIR/model_copy.bin\"}" \
+  | grep -q '"generation":1'
+curl -sf "$cbase/healthz" | grep -q '"generation":1'
+after=$(curl -sf -X POST "$cbase/predict" -d '{"publisher":0,"consumer":1,"words":[0]}')
+if [ "$ref" != "$after" ]; then
+  echo "answer changed after a same-bytes reload: $ref -> $after" >&2
+  exit 1
+fi
+curl -sf -X POST "$cbase/shutdown" | grep -q 'shutting down'
+wait "$chaos_pid"
+grep -q "drained and stopped" "$SMOKE_DIR/chaos_serve.log"
+echo "chaos mix survived; corrupt reload rejected; valid reload swapped; clean drain"
 
 echo "== bench_serve --quick =="
 cargo run -q --release -p cold-bench --bin bench_serve -- --quick
