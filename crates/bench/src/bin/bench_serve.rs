@@ -32,8 +32,6 @@ use std::time::{Duration, Instant};
 /// axis the prediction path actually iterates over.
 const C: usize = 6;
 const K: usize = 16;
-/// Scorer threads.
-const WORKERS: usize = 8;
 /// Event-loop threads.
 const IO_THREADS: usize = 2;
 
@@ -75,15 +73,14 @@ struct BenchReport {
     communities: usize,
     topics: usize,
     vocab_size: usize,
-    workers: usize,
     io_threads: usize,
     artifact_bytes: u64,
     /// `ModelView::open` + ζ/TopComm/ranking precompute, seconds.
     app_load_seconds: f64,
     points: Vec<LoadPoint>,
-    /// Saturation study against a constrained server (small worker pool
-    /// and queues) — goodput and tail latency under offered load ≫
-    /// capacity.
+    /// Saturation study against a constrained server (a small
+    /// open-connection cap) — goodput and tail latency under offered
+    /// load ≫ capacity.
     overload: Vec<OverloadPoint>,
     headline: String,
 }
@@ -238,11 +235,9 @@ fn run_point(
     point
 }
 
-/// Constrained-server shape for the overload study: a pool and queues
-/// small enough that the sweep's offered load is far beyond capacity.
-const OVERLOAD_WORKERS: usize = 2;
+/// Constrained-server shape for the overload study: an open-connection
+/// cap small enough that the sweep's offered load is far beyond it.
 const OVERLOAD_MAX_CONNS: usize = 16;
-const OVERLOAD_MAX_QUEUE: usize = 32;
 
 /// Hammer the constrained server with `clients` connection-per-request
 /// threads for `duration`, classifying every attempt.
@@ -267,7 +262,7 @@ fn run_overload_point(
                 while Instant::now() < deadline {
                     let t0 = Instant::now();
                     // A fresh connection per request: every attempt goes
-                    // through accept → queue admission, so saturation is
+                    // through accept admission, so saturation is
                     // exercised where the shed policy lives.
                     let outcome =
                         HttpClient::connect(addr, Duration::from_secs(5)).and_then(|mut client| {
@@ -371,7 +366,6 @@ fn main() {
         ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             io_threads: IO_THREADS,
-            workers: WORKERS,
             ..ServeConfig::default()
         },
         app,
@@ -400,9 +394,9 @@ fn main() {
     }
     server.shutdown();
 
-    // Overload study: a deliberately undersized server (2 workers, short
-    // queues, 2s deadline) under offered load far beyond capacity. The
-    // claim: goodput holds and p99 stays deadline-bounded while the
+    // Overload study: a deliberately undersized server (16 open
+    // connections, 2s deadline) under offered load far beyond capacity.
+    // The claim: goodput holds and p99 stays deadline-bounded while the
     // excess is shed with 503 — degradation, not collapse.
     let (overload_levels, overload_secs): (&[usize], f64) = if quick {
         (&[8, 32], 2.0)
@@ -410,8 +404,8 @@ fn main() {
         (&[16, 64, 256], 4.0)
     };
     println!(
-        "\noverload sweep against a constrained server ({OVERLOAD_WORKERS} workers, \
-         {OVERLOAD_MAX_CONNS}-conn / {OVERLOAD_MAX_QUEUE}-job queues):"
+        "\noverload sweep against a constrained server \
+         ({OVERLOAD_MAX_CONNS} open connections at most):"
     );
     let app = App::load(
         &path,
@@ -424,9 +418,7 @@ fn main() {
     let constrained = Server::start(
         ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
-            workers: OVERLOAD_WORKERS,
             max_conns: OVERLOAD_MAX_CONNS,
-            max_queue: OVERLOAD_MAX_QUEUE,
             request_timeout: Duration::from_secs(2),
             ..ServeConfig::default()
         },
@@ -471,7 +463,6 @@ fn main() {
         communities: C,
         topics: K,
         vocab_size: vocab,
-        workers: WORKERS,
         io_threads: IO_THREADS,
         artifact_bytes,
         app_load_seconds,

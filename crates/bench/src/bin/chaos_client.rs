@@ -6,14 +6,13 @@
 //! exits nonzero on any robustness violation: a healthy request that
 //! gets anything but `200` (bounded `503`-with-`Retry-After` retries are
 //! tolerated — that is the shed contract working) or a score that is not
-//! bit-identical to the reference. With `--kill-workers N` it also
-//! drives the supervisor end to end: N injected worker kills must all be
-//! respawned (checked via `/metrics`), plus one contained handler panic.
+//! bit-identical to the reference. Alongside the chaos it injects one
+//! handler panic, which must come back as a contained `500`, so the
+//! server must run with `--chaos true`.
 //!
 //! ```text
 //! chaos_client --addr 127.0.0.1:8396 [--healthy 3] [--chaos 3]
 //!              [--requests 50] [--faults 12] [--seed 9] [--stall-ms 150]
-//!              [--kill-workers 1]
 //! ```
 
 use cold_serve::chaos::ChaosPlan;
@@ -60,9 +59,9 @@ fn healthy_predict(client: &mut HttpClient, addr: SocketAddr) -> Result<f64, Str
         let r = match client.post("/predict", PREDICT) {
             Ok(r) => r,
             Err(e) => {
-                // The connection may have died to a neighboring fault
-                // (e.g. a worker kill closing its conn) — reconnect a
-                // bounded number of times rather than failing the run.
+                // The connection may have died to a neighboring fault —
+                // reconnect a bounded number of times rather than
+                // failing the run.
                 reconnects += 1;
                 if reconnects > 5 {
                     return Err(format!("request error after {reconnects} reconnects: {e}"));
@@ -119,7 +118,6 @@ fn main() {
     let faults = arg("--faults", 12) as usize;
     let seed = arg("--seed", 9);
     let stall = Duration::from_millis(arg("--stall-ms", 150));
-    let kill_workers = arg("--kill-workers", 0);
 
     // Reference answer before any chaos.
     let mut c = HttpClient::connect(addr, Duration::from_secs(10)).expect("connect");
@@ -158,35 +156,14 @@ fn main() {
         })
         .collect();
 
-    // Supervision path: contained handler panic + escaped worker kills.
-    if kill_workers > 0 {
-        let before = counter(addr, "serve.worker_respawns");
-        let mut k = HttpClient::connect(addr, Duration::from_secs(10)).expect("connect");
-        let r = k.post("/chaos/panic", "").expect("handler panic request");
-        assert_eq!(
-            r.status, 500,
-            "handler panic must answer 500, got {}",
-            r.status
-        );
-        for _ in 0..kill_workers {
-            let mut k = HttpClient::connect(addr, Duration::from_secs(10)).expect("connect");
-            let r = k
-                .post("/chaos/panic-worker", "")
-                .expect("worker kill request");
-            assert_eq!(r.status, 200, "worker kill must answer 200 first");
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            if counter(addr, "serve.worker_respawns") >= before + kill_workers {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "supervisor never respawned the killed workers"
-            );
-            std::thread::sleep(Duration::from_millis(100));
-        }
-    }
+    // A handler panic amid the chaos: contained to its own connection.
+    let mut k = HttpClient::connect(addr, Duration::from_secs(10)).expect("connect");
+    let r = k.post("/chaos/panic", "").expect("handler panic request");
+    assert_eq!(
+        r.status, 500,
+        "handler panic must answer 500, got {}",
+        r.status
+    );
 
     for h in chaos_threads {
         h.join().expect("chaos thread panicked");
@@ -212,15 +189,13 @@ fn main() {
     let after = healthy_predict(&mut c, addr).expect("final request");
     assert_eq!(after, reference, "score drifted across the chaos run");
     println!(
-        "chaos_client: OK ({} healthy x {} requests, {} chaos x {} faults, {} worker kills, \
-         panics={} respawns={} shed={} client_reconnects={})",
+        "chaos_client: OK ({} healthy x {} requests, {} chaos x {} faults, \
+         panics={} shed={} client_reconnects={})",
         healthy,
         requests,
         chaos,
         faults,
-        kill_workers,
         counter(addr, "serve.worker_panics"),
-        counter(addr, "serve.worker_respawns"),
         counter(addr, "serve.shed"),
         client_reconnects,
     );

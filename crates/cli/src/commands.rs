@@ -31,11 +31,10 @@ USAGE:
   cold influence --model <model.json> [--topic K] [--simulations N] [--seed S]
   cold eval      --model <model.json> --data <world.json> [--seed S]
   cold serve     --model <model.cold> [--addr HOST:PORT | --port P]
-                 [--workers N] [--top-comm N] [--rank-depth N]
+                 [--top-comm N] [--rank-depth N]
                  [--data <world.json>] [--max-body BYTES]
-                 [--max-conns N] [--max-queue N]
-                 [--io-threads N]
-                 [--request-timeout-ms MS] [--respawn-limit N]
+                 [--max-conns N] [--io-threads N]
+                 [--request-timeout-ms MS]
                  [--watch-model-ms MS] [--chaos true]
   cold metrics-check --file <metrics.jsonl>
   cold ckpt-inspect  --dir <checkpoint-dir>
@@ -652,16 +651,13 @@ pub fn serve(args: &Args) -> CliResult {
     let config = cold_serve::ServeConfig {
         addr,
         io_threads: args.get_or("io-threads", defaults.io_threads)?,
-        workers: args.get_or("workers", defaults.workers)?,
         max_body: args.get_or("max-body", defaults.max_body)?,
         max_conns: args.get_or("max-conns", defaults.max_conns)?,
-        max_queue: args.get_or("max-queue", defaults.max_queue)?,
         // 0 disables the per-request deadline.
         request_timeout: std::time::Duration::from_millis(args.get_or(
             "request-timeout-ms",
             defaults.request_timeout.as_millis() as u64,
         )?),
-        respawn_limit: args.get_or("respawn-limit", defaults.respawn_limit)?,
         chaos_endpoints: args.get_or("chaos", defaults.chaos_endpoints)?,
         // 0 disables artifact watching.
         watch_model: match args.get_or(
@@ -678,10 +674,10 @@ pub fn serve(args: &Args) -> CliResult {
 
     let app = cold_serve::App::load(model_path, top_comm, rank_depth, vocab, Metrics::enabled())
         .map_err(|e| format!("cannot load {model_path}: {e}"))?;
-    let (io_threads, workers) = (config.io_threads, config.workers);
+    let io_threads = config.io_threads;
     let server = cold_serve::Server::start(config, app).map_err(|e| e.to_string())?;
     println!(
-        "cold-serve listening on {} ({io_threads} io threads, {workers} workers); stop with: curl -X POST http://{}/shutdown",
+        "cold-serve listening on {} ({io_threads} io threads); stop with: curl -X POST http://{}/shutdown",
         server.addr(),
         server.addr()
     );

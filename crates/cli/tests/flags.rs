@@ -38,6 +38,17 @@ fn serve_refuses_the_retired_transport_flag() {
 }
 
 #[test]
+fn serve_refuses_the_retired_pool_flags() {
+    // The event loops score /predict themselves and one thread runs
+    // reloads: no scorer pool, job queue or respawn breaker to size.
+    for flag in ["--workers", "--max-queue", "--respawn-limit"] {
+        let out = cold(&["serve", "--model", "absent.cold", flag, "2"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+        assert_refused(&out, flag);
+    }
+}
+
+#[test]
 fn every_subcommand_refuses_an_unknown_flag() {
     for command in [
         "generate",

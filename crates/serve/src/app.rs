@@ -4,7 +4,7 @@
 //! [`ModelView`], the precomputed [`DiffusionPredictor`], the per-topic
 //! influencer rankings, the optional vocabulary, and the metrics handle —
 //! and exposes one method per endpoint returning `(status, json)`.
-//! Transport (sockets, framing, the scorer queue) lives in
+//! Transport (sockets, framing, the reloader) lives in
 //! [`crate::server`]; this module never touches a socket, which is what
 //! makes it unit-testable.
 
@@ -79,6 +79,12 @@ fn f64_json(x: f64) -> String {
     }
 }
 
+/// Most words one `/predict` may carry. Requests are scored on the event
+/// loop that read them, at `K` logarithms per word, so this bounds how
+/// long one request can hold up every other connection on its loop:
+/// a 1 MiB body could otherwise carry about 10⁵ word ids.
+pub const MAX_PREDICT_WORDS: usize = 1024;
+
 /// Per-topic influencer ranking entry.
 #[derive(Debug, Clone, Copy)]
 struct RankedUser {
@@ -86,7 +92,7 @@ struct RankedUser {
     score: f64,
 }
 
-/// The loaded service state shared by the event loops and scorers.
+/// The loaded service state shared by the event loops and the reloader.
 ///
 /// An `App` is immutable once built — hot reload builds a *new* `App`
 /// and swaps it into the serving [`AppSlot`]; requests hold an
@@ -169,7 +175,7 @@ impl App {
         &self.model_path
     }
 
-    /// The predictor (the scorer threads score through it directly).
+    /// The predictor (the event loops score through it directly).
     pub fn predictor(&self) -> &DiffusionPredictor<Arc<ModelView>> {
         &self.predictor
     }
@@ -177,7 +183,7 @@ impl App {
     /// Parse a `/predict` body into `(publisher, consumer, words)`.
     ///
     /// Words may be numeric ids, or strings when a vocabulary was
-    /// provided at load.
+    /// provided at load; at most [`MAX_PREDICT_WORDS`] of them.
     pub fn parse_predict(&self, body: &[u8]) -> Result<(u32, u32, Vec<WordId>), String> {
         let v = parse_json_object(body)?;
         let publisher = field_u32(&v, "publisher")?;
@@ -188,6 +194,12 @@ impl App {
         let items = words_v
             .as_array()
             .ok_or_else(|| format!("`words` must be an array, got {}", words_v.kind()))?;
+        if items.len() > MAX_PREDICT_WORDS {
+            return Err(format!(
+                "`words` has {} entries; at most {MAX_PREDICT_WORDS} are allowed per request",
+                items.len()
+            ));
+        }
         let mut words = Vec::with_capacity(items.len());
         for (i, item) in items.iter().enumerate() {
             match item {
@@ -216,7 +228,8 @@ impl App {
         Ok((publisher, consumer, words))
     }
 
-    /// Render a `/predict` result (a scorer thread produced the score).
+    /// Render a `/predict` result (the caller scored it through
+    /// [`App::predictor`]).
     pub fn predict_response(
         &self,
         publisher: u32,
@@ -305,10 +318,10 @@ impl App {
 
     /// `GET /healthz`.
     ///
-    /// `generation` counts completed hot reloads; `degraded` (the worker
-    /// supervisor's respawn breaker has tripped) turns the answer into a
-    /// `503` so load balancers stop routing here while the pool is
-    /// impaired — the server keeps answering what it still can.
+    /// `generation` counts completed hot reloads; `degraded` (an event
+    /// loop has died, taking its connections with it) turns the answer
+    /// into a `503` so load balancers stop routing here — the surviving
+    /// loops keep answering what they still can.
     pub fn healthz(&self, generation: u64, degraded: bool) -> JsonResponse {
         let d = self.view.dims();
         let (status, word) = if degraded {
@@ -353,11 +366,6 @@ impl App {
             )),
         }
     }
-
-    /// `GET /metrics` — the `cold-obs/v1` JSONL snapshot.
-    pub fn metrics_jsonl(&self) -> String {
-        self.metrics.snapshot().to_jsonl()
-    }
 }
 
 /// What a successful hot reload swapped in.
@@ -375,13 +383,15 @@ pub struct ReloadOutcome {
 ///
 /// Holds the current [`App`] behind a mutex-guarded `Arc` (the
 /// ArcSwap pattern with std parts): request dispatch takes the lock just
-/// long enough to clone the `Arc`, so a swap is atomic from the workers'
-/// point of view and in-flight requests keep the model they started
-/// with. [`AppSlot::reload`] builds the replacement *outside* that lock —
-/// traffic keeps flowing on the old model during the (potentially
-/// seconds-long) verify + precompute — and only a fully validated app is
-/// ever swapped in. A corrupt, truncated, or dimension-skewed artifact is
-/// rejected with the old model still serving.
+/// long enough to clone the `Arc`, so a swap is atomic from the event
+/// loops' point of view and in-flight requests keep the model they
+/// started with. [`AppSlot::reload`] builds the replacement *outside*
+/// that lock — traffic keeps flowing on the old model during the
+/// (potentially seconds-long) verify + precompute — and only a fully
+/// validated app is ever swapped in. A corrupt, truncated, or
+/// dimension-skewed artifact is rejected with the old model still
+/// serving. Every reload the server runs itself (`POST /reload`,
+/// `--watch-model`) runs on its one reloader thread.
 pub struct AppSlot {
     current: Mutex<Arc<App>>,
     /// Completed reloads; also published as the `serve.model_generation`

@@ -8,11 +8,10 @@
 //! RNG — the same seeded-fault-class discipline `cold-replay::fault`
 //! uses — so every chaotic run replays from its recorded seed.
 //!
-//! Two fault families are deliberate *server cooperation* hooks rather
-//! than raw socket abuse: [`Fault::HandlerPanic`] and
-//! [`Fault::WorkerKill`] hit the `/chaos/*` endpoints (available when the
-//! server runs with chaos endpoints enabled) to exercise the
-//! `catch_unwind` containment and the supervisor's respawn path.
+//! One fault family is a deliberate *server cooperation* hook rather than
+//! raw socket abuse: [`Fault::HandlerPanic`] hits `/chaos/panic`
+//! (available when the server runs with chaos endpoints enabled) to
+//! exercise the event loop's per-request `catch_unwind`.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -41,9 +40,6 @@ pub enum Fault {
     /// `POST /chaos/panic`: panic inside the handler; the event loop's
     /// `catch_unwind` must contain it to this one connection.
     HandlerPanic,
-    /// `POST /chaos/panic-worker`: kill one whole scorer thread; the
-    /// supervisor must respawn it.
-    WorkerKill,
 }
 
 impl Fault {
@@ -66,7 +62,6 @@ impl Fault {
             Fault::Garbage => "garbage",
             Fault::SlowReader => "slow-reader",
             Fault::HandlerPanic => "handler-panic",
-            Fault::WorkerKill => "worker-kill",
         }
     }
 }
@@ -181,15 +176,6 @@ pub fn run_fault(
             stream.flush()?;
             // The panic is caught; the loop answers 500 and closes, or
             // just closes. Either way the read terminates.
-            let mut sink = [0u8; 512];
-            let _ = stream.read(&mut sink);
-        }
-        Fault::WorkerKill => {
-            let mut stream = connect(addr)?;
-            stream.write_all(
-                b"POST /chaos/panic-worker HTTP/1.1\r\nhost: chaos\r\ncontent-length: 0\r\n\r\n",
-            )?;
-            stream.flush()?;
             let mut sink = [0u8; 512];
             let _ = stream.read(&mut sink);
         }

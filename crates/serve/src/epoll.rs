@@ -1,12 +1,13 @@
 //! The readiness-driven transport (Linux): a small pool of epoll event
-//! loops owns every socket; the scorer pool never touches one.
+//! loops owns every socket and answers every request but `/reload`
+//! itself; the reloader never touches a socket.
 //!
 //! ```text
-//!                       ┌────────────────┐   Job (bounded)  ┌──────────┐
-//!   listener ──────────▶│ io loop 0      │─────────────────▶│ scorer 0 │
-//!   (loop 0, nonblock)  │  conns: {...}  │◀───┐             │   ...    │
-//!          round-robin  ├────────────────┤    │ Completion  │ scorer N │
-//!          handoff ────▶│ io loop 1..N   │────┴── eventfd ──└──────────┘
+//!                       ┌────────────────┐  /reload (1 slot) ┌──────────┐
+//!   listener ──────────▶│ io loop 0      │──────────────────▶│ reloader │
+//!   (loop 0, nonblock)  │  conns: {...}  │◀───┐              └──────────┘
+//!          round-robin  ├────────────────┤    │ Completion        │
+//!          handoff ────▶│ io loop 1..N   │────┴── eventfd ────────┘
 //!                       └────────────────┘
 //! ```
 //!
@@ -14,11 +15,12 @@
 //!
 //! ```text
 //!            readable: buffer bytes, try_parse
-//!   ┌─────────┐──── complete /predict or /reload ──▶┌─────────────┐
+//!   ┌─────────┐──────── complete /reload ─────────▶┌─────────────┐
 //!   │ Reading │                                     │ AwaitingJob │
-//!   │         │◀─── completion (or deadline) ───────│ (job queued)│
+//!   │         │◀─── completion (or deadline) ───────│ (reloading) │
 //!   └─────────┘      response queued on write_buf   └─────────────┘
-//!        │ any other request: route inline, queue response
+//!        │ any other request (/predict included): route inline,
+//!        │ queue response
 //!        ▼ writable: flush write_buf, then parse pipelined bytes
 //! ```
 //!
@@ -28,14 +30,14 @@
 //! written (`serve.io_write_partial` counts those) and dropped as soon
 //! as the buffer drains, and the only other `MOD` is a read-side pause
 //! when a client pipelines more than [`PIPELINE_CAP`] bytes behind an
-//! in-flight job: TCP backpressure, since the loop stops `read()`ing
-//! until the job is answered.
+//! in-flight reload: TCP backpressure, since the loop stops `read()`ing
+//! until the reload is answered.
 //!
 //! Deadlines live on the epoll timer tick: `epoll_wait` sleeps no longer
 //! than the nearest armed deadline (capped by [`POLL_INTERVAL`]) and a
 //! sweep then answers expired requests — a stalled upload gets `408`, a
-//! job the pool couldn't finish in time gets `503` + `Retry-After`, a
-//! peer that stops reading its response is closed
+//! reload not finished in time gets `503` + `Retry-After`, a peer that
+//! stops reading its response is closed
 //! (`serve.write_timeouts`). A slowloris therefore costs one buffer and
 //! one timer entry, never a thread.
 //!
@@ -43,11 +45,16 @@
 //! `serve.requests_total` at parse, every status through
 //! [`count_status`], and each endpoint histogram spans dispatch → reply
 //! (`EventLoop::answer`).
+//!
+//! A panic that escapes `EventLoop::dispatch`'s per-request catch ends
+//! its loop; the thread catches it at the top (`EventLoop::run_to_exit`)
+//! and flips `/healthz` to degraded. A loop carries live connection
+//! state, so it is never restarted.
 
 use crate::http::{self, ParseError, RequestClock};
 use crate::server::{
-    count_status, route, shed_conn, Job, RouteOutcome, Routed, ServiceCtx, FALLBACK_WRITE_TIMEOUT,
-    JSON, POLL_INTERVAL,
+    count_status, route, shed_conn, ReloadJob, RouteOutcome, Routed, ServiceCtx,
+    FALLBACK_WRITE_TIMEOUT, JSON, POLL_INTERVAL, RELOAD_SECONDS,
 };
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use std::collections::HashMap;
@@ -74,13 +81,13 @@ const READ_CHUNK: usize = 64 * 1024;
 /// `accept()` while the connections it already admitted wait to be
 /// read.
 const ACCEPT_BATCH: usize = 16;
-/// Read-side pause threshold while a job is in flight: a client may
+/// Read-side pause threshold while a reload is in flight: a client may
 /// pipeline this many buffered bytes before the loop stops reading from
-/// it until the job is answered.
+/// it until the reload is answered.
 const PIPELINE_CAP: usize = 256 * 1024;
 
-/// Where a scorer posts a finished job for a loop-owned connection: push
-/// the completion, ring the loop's eventfd.
+/// Where the reloader posts a finished `/reload` for a loop-owned
+/// connection: push the completion, ring the loop's eventfd.
 pub(crate) struct CompletionSink {
     shared: Arc<LoopShared>,
     conn: u64,
@@ -123,7 +130,7 @@ impl CompletionSink {
 }
 
 /// The cross-thread face of one event loop: anything that must reach it
-/// (accepted-connection handoff, scorer completions, shutdown) goes
+/// (accepted-connection handoff, reload completions, shutdown) goes
 /// through here and rings the eventfd.
 struct LoopShared {
     wake: Arc<EventFd>,
@@ -153,13 +160,9 @@ struct Completion {
 enum ConnPhase {
     /// Accumulating request bytes (or idle keep-alive).
     Reading,
-    /// A job is queued on the scorer pool; the completion carries the
+    /// A `/reload` is with the reloader; the completion carries the
     /// response, this is what else answering it (or its deadline) needs.
-    AwaitingJob {
-        endpoint: &'static str,
-        t0: Instant,
-        keep_alive: bool,
-    },
+    AwaitingJob { t0: Instant, keep_alive: bool },
 }
 
 struct Conn {
@@ -273,14 +276,32 @@ pub(crate) fn spawn_loops(
         handles.push(
             std::thread::Builder::new()
                 .name(format!("cold-serve-io-{idx}"))
-                .spawn(move || el.run())?,
+                .spawn(move || el.run_to_exit())?,
         );
     }
     Ok(handles)
 }
 
 impl EventLoop {
-    fn run(mut self) {
+    /// The loop thread's body: run until drained, or until a panic
+    /// escapes the per-request catch — that one is caught here, counted
+    /// and reported through `/healthz`. Either way the loop's
+    /// connections are closed before the thread ends.
+    fn run_to_exit(mut self) {
+        if catch_unwind(AssertUnwindSafe(|| self.run())).is_err() {
+            self.svc.metrics.counter_add("serve.io_loop_panics", 1);
+            self.svc.degraded.store(true, Ordering::Release);
+            self.svc.metrics.gauge_set("serve.degraded", 1.0);
+        }
+        let ids: Vec<u64> = self.conns.keys().copied().collect();
+        for id in ids {
+            self.close_conn(id);
+        }
+        self.reject_inbox();
+        self.live_loops.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    fn run(&mut self) {
         // Registration failures here mean epoll itself is broken; the
         // panic surfaces as `serve.io_loop_panics` + degraded.
         self.ep
@@ -319,13 +340,7 @@ impl EventLoop {
             }
             self.expire_deadlines();
         }
-        // Force-close whatever the drain deadline cut off.
-        let ids: Vec<u64> = self.conns.keys().copied().collect();
-        for id in ids {
-            self.close_conn(id);
-        }
-        self.reject_inbox();
-        self.live_loops.fetch_sub(1, Ordering::AcqRel);
+        // `run_to_exit` force-closes whatever the drain deadline cut off.
     }
 
     /// The nearest armed deadline bounds the sleep (timer-tick
@@ -534,11 +549,12 @@ impl EventLoop {
                 continue; // re-fetch: state may allow the next request now
             }
 
-            // 2. A queued job answers this connection, not the parser.
+            // 2. A pending reload answers this connection, not the
+            // parser.
             if matches!(conn.phase, ConnPhase::AwaitingJob { .. }) {
                 if conn.read_buf.len() >= PIPELINE_CAP && conn.want_read {
                     // Backpressure a hyper-pipeliner: stop reading until
-                    // the in-flight job is answered.
+                    // the in-flight reload is answered.
                     conn.want_read = false;
                     let fd = conn.stream.as_raw_fd();
                     let interest = conn.interest();
@@ -603,8 +619,8 @@ impl EventLoop {
         }
     }
 
-    /// Route one parsed request: inline endpoints answer immediately,
-    /// `/predict` and `/reload` go to the scorer pool and park the
+    /// Route one parsed request: every endpoint but `/reload` answers
+    /// immediately; `/reload` goes to the reloader and parks the
     /// connection.
     fn dispatch(&mut self, id: u64, request: http::Request) {
         let svc = Arc::clone(&self.svc);
@@ -629,56 +645,44 @@ impl EventLoop {
                     None,
                 );
             }
-            Ok(RouteOutcome::Ready(routed)) => {
-                if routed.kill_worker {
-                    // Chaos worker-kill: poison one scorer so the
-                    // supervisor respawn path runs.
-                    let _ = svc.job_tx.try_send(Job::Poison);
-                }
-                self.answer(id, t0, routed, keep_alive);
-            }
-            Ok(RouteOutcome::Offload(task)) => {
+            Ok(RouteOutcome::Ready(routed)) => self.answer(id, t0, routed, keep_alive),
+            Ok(RouteOutcome::Reload(path)) => {
                 let Some(conn) = self.conns.get_mut(&id) else {
                     return;
                 };
-                let endpoint = task.endpoint();
-                let job = Job::Run {
-                    task,
+                let job = ReloadJob {
+                    path,
                     deadline: conn.clock.deadline(),
-                    enqueued: Instant::now(),
                     reply: CompletionSink {
                         shared: Arc::clone(&self.shared),
                         conn: id,
                         seq: conn.seq,
                     },
                 };
-                let refused = match svc.job_tx.try_send(job) {
+                let refused = match svc.reload_tx.try_send(job) {
                     Ok(()) => {
-                        conn.phase = ConnPhase::AwaitingJob {
-                            endpoint,
-                            t0,
-                            keep_alive,
-                        };
+                        conn.phase = ConnPhase::AwaitingJob { t0, keep_alive };
                         return;
                     }
                     Err(mpsc::TrySendError::Full(_)) => {
                         svc.metrics.counter_add("serve.shed", 1);
-                        svc.metrics.counter_add("serve.shed_jobs", 1);
-                        Routed::shed(endpoint, "job queue full")
+                        Routed::shed(RELOAD_SECONDS, "a reload is already waiting")
                     }
                     Err(mpsc::TrySendError::Disconnected(_)) => {
-                        Routed::error(endpoint, 503, "scoring queue is gone")
+                        Routed::error(RELOAD_SECONDS, 503, "the reloader is gone")
                     }
                 };
                 self.answer(id, t0, refused, keep_alive);
             }
+            // Outside the catch above: the unwind ends this loop.
+            Ok(RouteOutcome::KillLoop) => panic!("chaos: injected event-loop kill"),
         }
     }
 
-    /// A scorer finished a job for one of our connections.
+    /// The reloader finished a `/reload` for one of our connections.
     fn on_completion(&mut self, completion: Completion) {
         let Some(conn) = self.conns.get_mut(&completion.conn) else {
-            return; // connection closed while the job was in flight
+            return; // connection closed while the reload was in flight
         };
         if completion.seq != conn.seq {
             return; // already answered (deadline 503); stale response
@@ -704,7 +708,7 @@ impl EventLoop {
             routed.status,
             routed.content_type,
             routed.body.as_bytes(),
-            keep_alive && !routed.close,
+            keep_alive,
             routed.retry_after,
         );
     }
@@ -777,17 +781,15 @@ impl EventLoop {
                     );
                     self.advance(id, false);
                 }
-                &ConnPhase::AwaitingJob {
-                    endpoint,
-                    t0,
-                    keep_alive,
-                } => {
-                    // The pool couldn't finish in time: 503 + Retry-After,
-                    // keep-alive preserved; a late completion is stale.
+                &ConnPhase::AwaitingJob { t0, keep_alive } => {
+                    // The reload did not finish in time: 503 +
+                    // Retry-After, keep-alive preserved; a late
+                    // completion is stale.
                     conn.seq += 1;
                     conn.phase = ConnPhase::Reading;
                     self.svc.metrics.counter_add("serve.request_timeouts", 1);
-                    let routed = Routed::shed(endpoint, "the scorers missed the request deadline");
+                    let routed =
+                        Routed::shed(RELOAD_SECONDS, "the reload missed the request deadline");
                     self.answer(id, t0, routed, keep_alive);
                     self.advance(id, false);
                 }
@@ -810,7 +812,7 @@ impl EventLoop {
             let Some(conn) = self.conns.get(&id) else {
                 continue;
             };
-            // In-flight jobs get answered; queued writes get flushed;
+            // In-flight reloads get answered; queued writes get flushed;
             // everything else (idle keep-alive, partial reads) closes
             // now.
             if matches!(conn.phase, ConnPhase::Reading) && !conn.write_pending() {

@@ -19,10 +19,11 @@
 //! | `/shutdown` | POST | — | graceful stop (in-band SIGTERM) |
 //!
 //! `words` entries are word ids, or strings when the server was started
-//! with a vocabulary. Caller mistakes (unknown user/word/topic, malformed
-//! JSON) come back as HTTP 400 with `{"error": ...}` — the predict path
-//! is `Result`-typed end to end ([`cold_core::PredictError`]), so no
-//! request can panic the server.
+//! with a vocabulary; one `/predict` carries at most
+//! [`app::MAX_PREDICT_WORDS`] (1024) of them. Caller mistakes (unknown
+//! user/word/topic, malformed JSON, too many words) come back as HTTP
+//! 400 with `{"error": ...}` — the predict path is `Result`-typed end to
+//! end ([`cold_core::PredictError`]), so no request can panic the server.
 //!
 //! ## Shape
 //!
@@ -32,29 +33,35 @@
 //! ([`ServeConfig::io_threads`], Linux) multiplex every connection over a
 //! hand-rolled `epoll`/`eventfd` binding — nonblocking per-connection
 //! state machines, buffered writes, deadlines enforced by timer ticks —
-//! so thread count does not scale with connections. The loops answer the
-//! cheap endpoints themselves and queue `/predict` and `/reload` on a
-//! pool of scorer threads ([`ServeConfig::workers`]), which run each job
-//! as soon as they take it. [`client::HttpClient`] is the minimal
-//! persistent keep-alive client used by the integration tests and the
-//! `bench_serve` load generator (reconnects are counted, not silent).
-//! Latency lands in `serve.*_seconds` histograms (p50/p95/p99) via
-//! `cold-obs`; every scorer job also records its queue wait
-//! (`serve.stage.queue_seconds`) and every `/predict` its score time
-//! (`serve.stage.score_seconds`).
+//! so thread count does not scale with connections. The loops answer
+//! every request themselves, `/predict` included (a few µs of
+//! precomputed-table lookups); only `POST /reload` goes to the one
+//! reloader thread, so the server runs `io_threads + 1` threads:
+//!
+//! ```text
+//!   listener ──▶ io loop 0..N ── parse → route → score → reply (inline)
+//!   (epoll)          │    ▲
+//!        /reload ────┘    └──── completion + eventfd ──── reloader (+watch)
+//! ```
+//!
+//! [`client::HttpClient`] is the minimal persistent keep-alive client
+//! used by the integration tests and the `bench_serve` load generator
+//! (reconnects are counted, not silent). Latency lands in
+//! `serve.*_seconds` histograms (p50/p95/p99) via `cold-obs`; every
+//! `/predict` also records its score time (`serve.stage.score_seconds`).
 //!
 //! ## Robustness
 //!
 //! The transport layer is built to survive hostile networks and its own
-//! bugs: bounded connection and predict queues shed overload with `503` +
-//! `Retry-After` ([`ServeConfig::max_conns`] / [`ServeConfig::max_queue`]),
-//! a per-request deadline covers parse → score → reply
+//! bugs: connections beyond [`ServeConfig::max_conns`] and reloads beyond
+//! the one waiting are shed with `503` + `Retry-After`, a per-request
+//! deadline covers parse → score → reply
 //! ([`ServeConfig::request_timeout`]), panicking handlers are contained
-//! per-connection and crashed scorers respawned under a breaker
-//! ([`ServeConfig::respawn_limit`]), and `POST /reload` atomically swaps
-//! a verified new artifact into the [`app::AppSlot`] without dropping
-//! traffic. The [`chaos`] module (feature `chaos`, always on in tests)
-//! injects seeded network faults to prove all of it.
+//! per-connection, an event loop that dies anyway flips `/healthz` to
+//! `503 degraded`, and `POST /reload` atomically swaps a verified new
+//! artifact into the [`app::AppSlot`] without dropping traffic. The
+//! [`chaos`] module (feature `chaos`, always on in tests) injects seeded
+//! network faults to prove all of it.
 
 pub mod app;
 #[cfg(any(test, feature = "chaos"))]

@@ -3,14 +3,14 @@
 //!
 //! Only what the readiness-driven transport ([`crate::epoll`]) needs:
 //! an epoll instance with add/modify/delete/wait, and an eventfd used as
-//! a cross-thread wakeup (scorer completions, connection handoff,
+//! a cross-thread wakeup (reload completions, connection handoff,
 //! shutdown). Everything is wrapped in RAII types that close their fd on
 //! drop; `epoll_wait` retries `EINTR` so callers never see spurious
 //! interrupt errors.
 //!
 //! Linux-only by construction (`cfg(target_os = "linux")` at the module
-//! declaration): on other platforms the thread-per-connection backend is
-//! the fallback and this file is not compiled at all.
+//! declaration): on other platforms this file is not compiled at all,
+//! and `Server::start` returns an `Unsupported` error.
 
 use std::io;
 use std::os::unix::io::RawFd;

@@ -1,9 +1,9 @@
 //! Chaos soak: seeded network faults and injected panics against a live
 //! server, with healthy traffic interleaved. The claims under test:
-//! hostile peers cost the server one connection each, never a worker and
-//! never a healthy client's answer; overload sheds exactly; panics are
-//! contained, counted, and survived; a crash-looping pool degrades
-//! loudly instead of dying.
+//! hostile peers cost the server one connection each, never a thread and
+//! never a healthy client's answer; a handler panic is contained to its
+//! connection, counted, and survived; an event loop that dies anyway
+//! degrades `/healthz` loudly while the other loops keep serving.
 #![cfg(target_os = "linux")]
 
 mod common;
@@ -59,9 +59,9 @@ fn healthy_traffic_survives_chaos_mix_epoll() {
         }
     }
 
-    // The process took every fault on the chin: no worker died, nothing
-    // was shed (the healthy load is far below the queue bounds), and the
-    // server still answers.
+    // The process took every fault on the chin: no handler panicked,
+    // nothing was shed (the healthy load is far below the connection
+    // cap), and the server still answers.
     let m = ts.client().get("/metrics").unwrap();
     assert_eq!(m.status, 200);
     cold_obs::schema::validate_jsonl(&m.body).unwrap();
@@ -82,88 +82,56 @@ fn handler_panic_is_contained_to_one_connection_epoll() {
     assert_eq!(r.status, 500, "{}", r.body);
     assert!(!r.keep_alive);
 
-    // Same pool, same answers, exact accounting: one contained panic,
-    // zero respawns (no thread died).
+    // Same loops, same answers, exact accounting: one contained panic,
+    // and no loop died.
     assert_eq!(predict_score(&mut ts.client()), reference);
     assert_eq!(ts.counter("serve.worker_panics"), 1);
-    assert_eq!(ts.counter("serve.worker_respawns"), 0);
+    assert_eq!(ts.counter("serve.io_loop_panics"), 0);
     assert_eq!(ts.client().get("/healthz").unwrap().status, 200);
 }
 
 #[test]
-fn killed_workers_are_respawned_by_the_supervisor_epoll() {
-    let ts = TestServer::start("respawn", |c| c.chaos_endpoints = true);
-    let mut c = ts.client();
-    let reference = predict_score(&mut c);
+fn a_dead_io_loop_flips_healthz_to_degraded_epoll() {
+    let ts = TestServer::start("loop_death", |c| {
+        c.chaos_endpoints = true;
+        c.io_threads = 2;
+    });
+    // Connections are handed out round-robin from loop 0: A lands on
+    // loop 0, B on loop 1. B is a raw socket, so nothing retries its
+    // request on a fresh connection (which would land on loop 0).
+    let mut a = ts.client();
+    let reference = predict_score(&mut a);
+    let mut b = TcpStream::connect(ts.addr).unwrap();
+    b.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
 
-    for round in 1..=3u64 {
-        let r = ts.client().post("/chaos/panic-worker", "").unwrap();
-        assert_eq!(r.status, 200, "{}", r.body);
-        // A poisoned scorer panics after the response is queued; the
-        // supervisor notices within its poll interval and replaces it.
-        let respawns = ts.wait_counter("serve.worker_respawns", round, Duration::from_secs(5));
-        assert_eq!(respawns, round, "supervisor did not respawn worker");
+    // The panic escapes the per-request catch and ends loop 1, which
+    // closes B unanswered on its way out.
+    b.write_all(b"POST /chaos/panic-loop HTTP/1.1\r\nhost: t\r\ncontent-length: 0\r\n\r\n")
+        .unwrap();
+    let mut buf = [0u8; 256];
+    match b.read(&mut buf) {
+        Ok(n) => assert_eq!(n, 0, "{:?}", String::from_utf8_lossy(&buf[..n])),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
     }
 
-    assert_eq!(ts.counter("serve.worker_panics"), 3);
-    let health = ts.client().get("/healthz").unwrap();
-    assert_eq!(health.status, 200, "{}", health.body);
-    assert_eq!(predict_score(&mut ts.client()), reference);
-}
-
-#[test]
-fn respawn_breaker_flips_healthz_to_degraded_epoll() {
-    let ts = TestServer::start("breaker", |c| {
-        c.chaos_endpoints = true;
-        c.workers = 2;
-        c.respawn_limit = 1;
-    });
-    let mut c = ts.client();
-    let reference = predict_score(&mut c);
-
-    // First kill: within budget, respawned.
-    assert_eq!(
-        ts.client().post("/chaos/panic-worker", "").unwrap().status,
-        200
-    );
-    assert_eq!(
-        ts.wait_counter("serve.worker_respawns", 1, Duration::from_secs(5)),
-        1
-    );
-    // Second kill: over budget — no respawn, the breaker trips instead.
-    assert_eq!(
-        ts.client().post("/chaos/panic-worker", "").unwrap().status,
-        200
-    );
-    assert_eq!(
-        ts.wait_counter("serve.worker_panics", 2, Duration::from_secs(5)),
-        2
-    );
-
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let health = loop {
-        let h = ts.client().get("/healthz").unwrap();
-        if h.status == 503 || std::time::Instant::now() >= deadline {
-            break h;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    // Loop 0 lives on: A still scores, and /healthz reports the loss.
+    let health = a.get("/healthz").unwrap();
     assert_eq!(health.status, 503, "{}", health.body);
-    assert!(health.body.contains("degraded"), "{}", health.body);
-    assert_eq!(
-        ts.counter("serve.worker_respawns"),
-        1,
-        "breaker respawned past the cap"
+    assert!(
+        health.body.contains("\"status\":\"degraded\""),
+        "{}",
+        health.body
     );
-
-    // Degraded, not dead: the surviving worker still answers correctly.
-    assert_eq!(predict_score(&mut ts.client()), reference);
+    assert_eq!(predict_score(&mut a), reference);
+    let m = a.get("/metrics").unwrap().body;
+    assert_eq!(common::counter_in(&m, "serve.io_loop_panics"), 1);
+    assert_eq!(common::counter_in(&m, "serve.worker_panics"), 0);
+    assert_eq!(a.reconnects(), 0, "A stayed on loop 0 throughout");
 }
 
 #[test]
 fn stalled_request_times_out_with_408_and_frees_the_worker_epoll() {
     let ts = TestServer::start("stall408", |c| {
-        c.workers = 1;
         c.request_timeout = Duration::from_millis(300);
     });
     let mut warm = ts.client();

@@ -105,7 +105,7 @@ pub struct TestServer {
 
 impl TestServer {
     /// Start a server on a fresh tiny world; `configure` tweaks the
-    /// defaults (workers 4, port 0, everything else stock).
+    /// defaults (port 0, everything else stock).
     pub fn start(tag: &str, configure: impl FnOnce(&mut ServeConfig)) -> Self {
         let dir = std::env::temp_dir().join(format!("cold_serve_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -114,7 +114,6 @@ impl TestServer {
         let app = App::load(&model, 2, 16, Some(vocab()), Metrics::enabled()).unwrap();
         let mut config = ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
-            workers: 4,
             ..ServeConfig::default()
         };
         configure(&mut config);

@@ -1,19 +1,19 @@
 //! The event loops' own behavior: the open-connection cap, cross-loop
 //! connection handoff, incremental parsing of split and pipelined
-//! requests, slow jobs kept off the loop, job deadlines, and the
-//! transport's own metrics (`serve.open_conns`, `serve.epoll_wakeups`,
-//! `serve.io_read_partial`). Endpoint semantics are covered by the
-//! chaos/reload/http suites.
+//! requests, reloads kept off the loop, the reloader's one-slot queue
+//! and the reload deadline, and the transport's own metrics
+//! (`serve.open_conns`, `serve.epoll_wakeups`, `serve.io_read_partial`).
+//! Endpoint semantics are covered by the chaos/reload/http suites.
 #![cfg(target_os = "linux")]
 
 mod common;
 
-use common::{json, num, predict_score, tiled_model_file, TestServer, PREDICT};
+use common::{json, model_file, num, predict_score, tiled_model_file, TestServer, PREDICT};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Users in the artifact the slow-job tests reload: enough that loading
+/// Users in the artifact the slow-reload tests load: enough that loading
 /// it (predictor and influencer-ranking precompute) takes far longer
 /// than answering a `/predict`.
 const SLOW_LOAD_USERS: u32 = 1_000_000;
@@ -74,13 +74,12 @@ fn open_connection_cap_sheds_with_503() {
 fn connections_are_handed_across_io_loops() {
     let ts = TestServer::start("epoll_handoff", |c| {
         c.io_threads = 2;
-        c.workers = 2;
     });
     let mut c = ts.client();
     let reference = predict_score(&mut c);
 
     // More concurrent connections than loops: round-robin handoff puts
-    // some on loop 1, whose completions travel back over its eventfd.
+    // some on loop 1, which scores their requests itself.
     let addr = ts.addr;
     let handles: Vec<_> = (0..4)
         .map(|_| {
@@ -105,11 +104,12 @@ fn connections_are_handed_across_io_loops() {
     }
     let m = ts.client().get("/metrics").unwrap().body;
     assert_eq!(common::counter_in(&m, "serve.worker_panics"), 0);
-    // 1 + 4 × 10 answers, each timed once per stage by whichever of the
-    // two scorers took it.
-    for stage in ["serve.stage.queue_seconds", "serve.stage.score_seconds"] {
-        assert_eq!(common::histogram_count_in(&m, stage), 41, "{stage}");
-    }
+    // 1 + 4 × 10 answers, each scored once by the loop that owns its
+    // connection.
+    assert_eq!(
+        common::histogram_count_in(&m, "serve.stage.score_seconds"),
+        41
+    );
 }
 
 #[test]
@@ -157,11 +157,12 @@ fn split_and_pipelined_requests_parse_incrementally() {
 
     let m = ts.client().get("/metrics").unwrap().body;
     cold_obs::schema::validate_jsonl(&m).unwrap();
-    // The one /predict 200 passed through both scorer stages once.
+    // The one /predict 200 was scored once.
     assert_eq!(common::histogram_count_in(&m, "serve.predict_seconds"), 1);
-    for stage in ["serve.stage.queue_seconds", "serve.stage.score_seconds"] {
-        assert_eq!(common::histogram_count_in(&m, stage), 1, "{stage}");
-    }
+    assert_eq!(
+        common::histogram_count_in(&m, "serve.stage.score_seconds"),
+        1
+    );
     assert!(
         common::counter_in(&m, "serve.io_read_partial") >= 1,
         "split request never counted as a partial read"
@@ -221,7 +222,6 @@ fn reload_runs_off_the_event_loop() {
     // hold up the other connection's /predict until the load finished.
     let ts = TestServer::start("offloop_reload", |c| {
         c.io_threads = 1;
-        c.workers = 2;
     });
     let big = tiled_model_file(&ts.dir, "big.cold", 5, SLOW_LOAD_USERS);
     let reference = predict_score(&mut ts.client());
@@ -259,38 +259,75 @@ fn reload_runs_off_the_event_loop() {
 
 #[test]
 fn a_job_that_misses_its_deadline_gets_503() {
-    // One scorer, busy with a slow reload: the /predict queued behind it
-    // cannot be scored within the request deadline. One loop, so the
-    // reload is queued first.
-    let ts = TestServer::start("job_deadline", |c| {
-        c.io_threads = 1;
-        c.workers = 1;
+    // A reload of the 10⁶-user artifact cannot finish within a 10 ms
+    // deadline: the loop answers 503 + Retry-After on time, and the
+    // reloader, which took the job before it expired, still swaps the
+    // model in.
+    let ts = TestServer::start("reload_deadline", |c| {
         c.request_timeout = Duration::from_millis(10);
     });
     let big = tiled_model_file(&ts.dir, "big.cold", 5, SLOW_LOAD_USERS);
-    let _reload = post_unread(
-        ts.addr,
-        "/reload",
-        &format!("{{\"model\":\"{}\"}}", big.display()),
-    );
-
-    let r = ts.client().post("/predict", PREDICT).unwrap();
+    let r = ts
+        .client()
+        .post("/reload", &format!("{{\"model\":\"{}\"}}", big.display()))
+        .unwrap();
     assert_eq!(r.status, 503, "{}", r.body);
     assert_eq!(r.retry_after, Some(1));
     assert!(r.body.contains("missed the request deadline"), "{}", r.body);
     assert!(r.keep_alive, "a missed deadline keeps the connection");
 
-    // The reload still lands; the expired /predict is then skipped, not
-    // scored late.
     let deadline = Instant::now() + Duration::from_secs(120);
     while ts.counter("serve.reloads_ok") < 1 {
         assert!(Instant::now() < deadline, "the reload never finished");
         std::thread::sleep(Duration::from_millis(50));
     }
-    assert_eq!(
-        ts.wait_counter("serve.batch_expired", 1, Duration::from_secs(5)),
-        1
-    );
+    let h = json(&ts.client().get("/healthz").unwrap().body);
+    assert_eq!(num(h.get("generation").unwrap()) as u64, 1);
+    assert_eq!(num(h.get("users").unwrap()) as u32, SLOW_LOAD_USERS);
     assert!(ts.counter("serve.request_timeouts") >= 1);
     assert!(ts.counter("serve.responses_503") >= 1);
+}
+
+#[test]
+fn concurrent_reloads_beyond_one_waiting_are_shed() {
+    // No deadline: only the queue bound is at work.
+    let ts = TestServer::start("reload_slot", |c| c.request_timeout = Duration::ZERO);
+    let big = tiled_model_file(&ts.dir, "big.cold", 5, SLOW_LOAD_USERS);
+    let next = model_file(&ts.dir, "next.cold", 77);
+    let reload = |path: &std::path::Path| format!("{{\"model\":\"{}\"}}", path.display());
+
+    // A: the slow reload. Once its artifact is open (the boot load was
+    // the first open), the reloader is busy with it.
+    let mut a = post_unread(ts.addr, "/reload", &reload(&big));
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while common::histogram_count_in(
+        &ts.client().get("/metrics").unwrap().body,
+        "serve.model_open_seconds",
+    ) < 2
+    {
+        assert!(Instant::now() < deadline, "the reloader never took A");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // B and C: whichever is dispatched first waits in the one slot, the
+    // other finds it full.
+    let mut b = post_unread(ts.addr, "/reload", &reload(&next));
+    let mut c = post_unread(ts.addr, "/reload", &reload(&next));
+
+    let body = |answer: &str| json(answer.split("\r\n\r\n").nth(1).unwrap());
+    let answer = read_response(&mut a, Duration::from_secs(120));
+    assert!(answer.starts_with("HTTP/1.1 200"), "{answer}");
+    assert_eq!(num(body(&answer).get("generation").unwrap()) as u64, 1);
+    let mut rest = [&mut b, &mut c].map(|s| read_response(s, Duration::from_secs(120)));
+    rest.sort(); // "HTTP/1.1 200" before "HTTP/1.1 503"
+    assert!(rest[0].starts_with("HTTP/1.1 200"), "{}", rest[0]);
+    assert_eq!(num(body(&rest[0]).get("generation").unwrap()) as u64, 2);
+    assert!(rest[1].starts_with("HTTP/1.1 503"), "{}", rest[1]);
+    assert!(rest[1].contains("retry-after: 1"), "{}", rest[1]);
+    assert!(
+        rest[1].contains("a reload is already waiting"),
+        "{}",
+        rest[1]
+    );
+    assert_eq!(ts.counter("serve.shed"), 1);
+    assert_eq!(ts.counter("serve.reloads_ok"), 2);
 }

@@ -135,7 +135,8 @@ fn watch_model_picks_up_a_replaced_artifact_epoll() {
     let score_a = predict_score(&mut c);
 
     // Stage the retrained artifact next to the live one, then swap it in
-    // with an atomic rename — the watcher must verify and reload it.
+    // with an atomic rename — the reloader's watch must verify and
+    // reload it.
     let staged = model_file(&ts.dir, "staged.cold", 77);
     std::fs::rename(&staged, &ts.model).unwrap();
 
@@ -147,7 +148,7 @@ fn watch_model_picks_up_a_replaced_artifact_epoll() {
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "watcher never picked up the replaced artifact"
+            "the watch never picked up the replaced artifact"
         );
         std::thread::sleep(Duration::from_millis(100));
     };

@@ -5,6 +5,7 @@
 
 mod common;
 
+use cold_serve::app::MAX_PREDICT_WORDS;
 use cold_serve::HttpClient;
 use common::{json, num, TestServer};
 use serde::Value;
@@ -163,6 +164,32 @@ fn oversized_body_gets_413_epoll() {
 }
 
 #[test]
+fn predict_scores_up_to_the_word_cap_and_refuses_one_past_it_epoll() {
+    let ts = TestServer::start("word_cap", |_| {});
+    let mut c = ts.client();
+    let body = |n| {
+        format!(
+            "{{\"publisher\":0,\"consumer\":1,\"words\":[{}]}}",
+            vec!["0"; n].join(",")
+        )
+    };
+
+    let r = c.post("/predict", &body(MAX_PREDICT_WORDS)).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    // One more word is the caller's mistake, and the answer names the cap.
+    let r = c.post("/predict", &body(MAX_PREDICT_WORDS + 1)).unwrap();
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert!(r.body.contains("at most 1024"), "{}", r.body);
+    assert!(r.keep_alive, "a refused request keeps the connection");
+    // Only the request within the cap was scored.
+    let m = c.get("/metrics").unwrap().body;
+    assert_eq!(
+        common::histogram_count_in(&m, "serve.stage.score_seconds"),
+        1
+    );
+}
+
+#[test]
 fn concurrent_clients_all_get_consistent_answers_epoll() {
     let ts = TestServer::start("concurrent", |_| {});
     // Reference answer on a warm connection.
@@ -212,10 +239,11 @@ fn concurrent_clients_all_get_consistent_answers_epoll() {
         .expect("predict histogram present");
     let parsed = json(predict_line);
     assert_eq!(num(parsed.get("count").unwrap()) as u64, 101);
-    // Every one of those 200s passed through both scorer stages once.
-    for stage in ["serve.stage.queue_seconds", "serve.stage.score_seconds"] {
-        assert_eq!(common::histogram_count_in(&m, stage), 101, "{stage}");
-    }
+    // Every one of those 200s was scored exactly once.
+    assert_eq!(
+        common::histogram_count_in(&m, "serve.stage.score_seconds"),
+        101
+    );
     // The snapshot is valid cold-obs/v1 JSONL.
     cold_obs::schema::validate_jsonl(&m).unwrap();
 }

@@ -119,13 +119,13 @@ cargo run -q --release -p cold-cli -- replay-check \
 
 # serve-smoke — binary model → cold serve → all endpoints → clean stop.
 # Each answer must carry the expected JSON fields, caller mistakes must
-# come back 400 (never a worker panic), and POST /shutdown must drain the
+# come back 400 (never a handler panic), and POST /shutdown must drain the
 # server to a clean exit 0.
 echo "== serve-smoke (binary model → cold serve → all endpoints → clean stop) =="
 SERVE_PORT=18395
 cargo run -q --release -p cold-cli -- serve \
   --model "$SMOKE_DIR/model_sparse.bin" --data "$SMOKE_DIR/world.json" \
-  --port "$SERVE_PORT" --workers 2 \
+  --port "$SERVE_PORT" \
   > "$SMOKE_DIR/serve.log" 2>&1 &
 serve_pid=$!
 for _ in $(seq 1 50); do
@@ -160,16 +160,15 @@ echo "all endpoints answered; server drained to a clean exit"
 
 # chaos-smoke — the robustness contract end to end on a real process:
 # healthy clients keep getting bit-identical answers while seeded network
-# faults, a contained handler panic, and a worker kill (respawned by the
-# supervisor) land concurrently; a corrupt /reload is rejected with the
-# old model still serving; a valid /reload swaps generations; and the
-# server still drains to a clean exit 0.
-echo "== chaos-smoke (seeded faults + worker kill + reload under a live server) =="
+# faults and a contained handler panic land concurrently; a corrupt
+# /reload is rejected with the old model still serving; a valid /reload
+# swaps generations; and the server still drains to a clean exit 0.
+echo "== chaos-smoke (seeded faults + handler panic + reload under a live server) =="
 CHAOS_PORT=18396
 cargo run -q --release -p cold-cli -- serve \
   --model "$SMOKE_DIR/model_sparse.bin" --data "$SMOKE_DIR/world.json" \
-  --port "$CHAOS_PORT" --workers 2 --chaos true \
-  --max-conns 32 --max-queue 64 --request-timeout-ms 2000 \
+  --port "$CHAOS_PORT" --chaos true \
+  --max-conns 32 --request-timeout-ms 2000 \
   > "$SMOKE_DIR/chaos_serve.log" 2>&1 &
 chaos_pid=$!
 for _ in $(seq 1 50); do
@@ -180,7 +179,7 @@ cbase="http://127.0.0.1:$CHAOS_PORT"
 ref=$(curl -sf -X POST "$cbase/predict" -d '{"publisher":0,"consumer":1,"words":[0]}')
 cargo run -q --release -p cold-bench --bin chaos_client -- \
   --addr "127.0.0.1:$CHAOS_PORT" --healthy 3 --chaos 3 --requests 40 \
-  --faults 10 --seed 9 --stall-ms 150 --kill-workers 1
+  --faults 10 --seed 9 --stall-ms 150
 # A deliberately corrupt artifact must be rejected (409) with the old
 # model untouched and still serving.
 head -c 200 "$SMOKE_DIR/model_sparse.bin" > "$SMOKE_DIR/model_corrupt.bin"

@@ -47,6 +47,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -148,9 +149,16 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting the parser accepts, as in the real
+/// crate: the parser recurses once per level, so without a bound a body
+/// of a million `[` would overflow the stack instead of failing.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -190,6 +198,23 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_value(&mut self) -> Result<Value, Error> {
+        let nests = matches!(self.peek(), Some(b'[' | b'{'));
+        if !nests {
+            return self.parse_any();
+        }
+        if self.depth == RECURSION_LIMIT {
+            return Err(Error::new(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = self.parse_any();
+        self.depth -= 1;
+        value
+    }
+
+    fn parse_any(&mut self) -> Result<Value, Error> {
         match self.peek() {
             Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
@@ -322,6 +347,9 @@ impl<'a> Parser<'a> {
                                 )
                                 .map_err(|_| Error::new("invalid \\u escape"))?;
                                 self.pos += 4;
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err(Error::new("high surrogate without a low one"));
+                                }
                                 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
                             } else {
                                 code
@@ -376,6 +404,25 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_past_the_recursion_limit_is_an_error() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nest(RECURSION_LIMIT)).is_ok());
+        let err = from_str::<Value>(&nest(RECURSION_LIMIT + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Deep enough to overflow any thread's stack if it recursed.
+        assert!(from_str::<Value>(&"[{\"a\":".repeat(500_000)).is_err());
+    }
+
+    #[test]
+    fn a_high_surrogate_needs_a_low_one() {
+        assert!(from_str::<String>("\"\\ud800\\u0041\"").is_err());
+        assert_eq!(
+            from_str::<String>("\"\\ud83d\\ude00\"").unwrap(),
+            "\u{1F600}"
+        );
+    }
 
     #[test]
     fn float_roundtrip_is_bit_exact() {
