@@ -681,7 +681,17 @@ pub fn serve(args: &Args) -> CliResult {
         server.addr(),
         server.addr()
     );
+    let slot = std::sync::Arc::clone(server.app_slot());
     server.join();
+    // A loop exits by draining or by dying, and each death is counted:
+    // as many deaths as loops means nothing drained, so no shutdown was
+    // asked for and a supervisor should restart the process.
+    let panics = slot.metrics().snapshot().counter("serve.io_loop_panics");
+    if panics >= io_threads.max(1) as u64 {
+        return Err(format!(
+            "every io loop died (serve.io_loop_panics = {panics}); the server stopped"
+        ));
+    }
     println!("cold-serve: drained and stopped");
     Ok(())
 }

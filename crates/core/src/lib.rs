@@ -69,7 +69,6 @@ pub mod conditionals;
 pub mod diagnostics;
 pub mod diffusion;
 pub mod estimates;
-pub mod hyperopt;
 pub mod online;
 pub mod params;
 pub mod patterns;

@@ -48,8 +48,7 @@ pub fn lgamma(x: f64) -> f64 {
 /// Digamma function `ψ(x) = d/dx ln Γ(x)` for `x > 0`.
 ///
 /// Uses the standard recurrence to push the argument above 6 and then the
-/// asymptotic series. Exposed for hyper-parameter optimization extensions
-/// (fixed-point Minka updates), and used by tests as an independent check on
+/// asymptotic series. Used by tests as an independent check on
 /// [`lgamma`].
 pub fn digamma(x: f64) -> f64 {
     debug_assert!(x > 0.0, "digamma requires x > 0, got {x}");

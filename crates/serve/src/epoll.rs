@@ -3,13 +3,15 @@
 //! itself; the reloader never touches a socket.
 //!
 //! ```text
-//!                       ┌────────────────┐  /reload (1 slot) ┌──────────┐
-//!   listener ──────────▶│ io loop 0      │──────────────────▶│ reloader │
-//!   (loop 0, nonblock)  │  conns: {...}  │◀───┐              └──────────┘
-//!          round-robin  ├────────────────┤    │ Completion        │
-//!          handoff ────▶│ io loop 1..N   │────┴── eventfd ────────┘
-//!                       └────────────────┘
+//!                      ┌───────────────┐  /reload (1 slot) ┌──────────┐
+//!   listener ─────────▶│ io loop 0..N  │──────────────────▶│ reloader │
+//!   (one, shared;      │ accepts, owns │◀── Completion ────│          │
+//!    EPOLLEXCLUSIVE)   │ its conns     │    + eventfd      └──────────┘
+//!                      └───────────────┘
 //! ```
+//!
+//! No loop is special: each accepts from the shared listener (the kernel
+//! wakes one idle loop per connection) and owns what it accepts.
 //!
 //! Each loop runs a per-connection state machine:
 //!
@@ -49,14 +51,17 @@
 //! A panic that escapes `EventLoop::dispatch`'s per-request catch ends
 //! its loop; the thread catches it at the top (`EventLoop::run_to_exit`)
 //! and flips `/healthz` to degraded. A loop carries live connection
-//! state, so it is never restarted.
+//! state, so it is never restarted; its epoll instance closes with it,
+//! so new connections wake only the survivors.
 
 use crate::http::{self, ParseError, RequestClock};
 use crate::server::{
     count_status, route, shed_conn, ReloadJob, RouteOutcome, Routed, ServiceCtx,
     FALLBACK_WRITE_TIMEOUT, JSON, POLL_INTERVAL, RELOAD_SECONDS,
 };
-use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::sys::{
+    Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -67,7 +72,7 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Token for the listening socket (loop 0 only).
+/// Token for the shared listening socket, registered by every loop.
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// Token for the loop's wakeup eventfd.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
@@ -75,12 +80,13 @@ const TOKEN_WAKE: u64 = u64::MAX - 1;
 /// until the socket is drained, so one bounded read per wakeup is fair
 /// to the other connections on the loop.
 const READ_CHUNK: usize = 64 * 1024;
-/// Connections accepted per listener readiness event. Level-triggered
-/// epoll re-reports a backlog that is left over, so a reconnect storm
-/// (every shed client dialling straight back) cannot keep loop 0 in
-/// `accept()` while the connections it already admitted wait to be
-/// read.
-const ACCEPT_BATCH: usize = 16;
+/// Connections one loop accepts per listener readiness event.
+/// Level-triggered epoll re-reports a leftover backlog, so a reconnect
+/// storm (shed clients dialling straight back) cannot keep a loop in
+/// `accept()` while its admitted connections wait to be read. At the
+/// default two loops, 8 keeps one server-wide round at 16; 16 per loop
+/// cost overload goodput (DESIGN.md §13).
+const ACCEPT_BATCH: usize = 8;
 /// Read-side pause threshold while a reload is in flight: a client may
 /// pipeline this many buffered bytes before the loop stops reading from
 /// it until the reload is answered.
@@ -130,11 +136,10 @@ impl CompletionSink {
 }
 
 /// The cross-thread face of one event loop: anything that must reach it
-/// (accepted-connection handoff, reload completions, shutdown) goes
-/// through here and rings the eventfd.
+/// (reload completions, shutdown) goes through here and rings the
+/// eventfd.
 struct LoopShared {
     wake: Arc<EventFd>,
-    inbox: Mutex<Vec<TcpStream>>,
     completions: Mutex<Vec<Completion>>,
 }
 
@@ -142,7 +147,6 @@ impl LoopShared {
     fn new() -> std::io::Result<Self> {
         Ok(Self {
             wake: Arc::new(EventFd::new()?),
-            inbox: Mutex::new(Vec::new()),
             completions: Mutex::new(Vec::new()),
         })
     }
@@ -223,14 +227,10 @@ impl Conn {
 }
 
 struct EventLoop {
-    idx: usize,
     ep: Epoll,
     shared: Arc<LoopShared>,
-    peers: Vec<Arc<LoopShared>>,
-    /// Round-robin cursor for connection handoff, shared by all loops
-    /// (only loop 0 accepts, but the counter surviving a loop is cheap).
-    rr: Arc<AtomicUsize>,
-    listener: Option<TcpListener>,
+    /// Shared by every loop; closes when the last one drops it.
+    listener: Option<Arc<TcpListener>>,
     svc: Arc<ServiceCtx>,
     conns: HashMap<u64, Conn>,
     next_conn: u64,
@@ -239,33 +239,25 @@ struct EventLoop {
     drain_deadline: Option<Instant>,
 }
 
-/// Spawn `io_threads` event loops. Loop 0 owns the (nonblocking)
-/// listener and hands accepted connections round-robin across the pool;
-/// every loop registers its eventfd as a shutdown waker first, so a
-/// trigger always lands.
+/// Spawn `io_threads` event loops, each accepting from the shared
+/// (nonblocking) listener. A loop's eventfd becomes a shutdown waker
+/// before its thread starts; a trigger before that leaves the flag set,
+/// which the loop checks before it first waits.
 pub(crate) fn spawn_loops(
     svc: &Arc<ServiceCtx>,
     listener: TcpListener,
     io_threads: usize,
     live_loops: &Arc<AtomicUsize>,
 ) -> std::io::Result<Vec<JoinHandle<()>>> {
-    let mut shareds = Vec::with_capacity(io_threads);
-    for _ in 0..io_threads {
-        let shared = Arc::new(LoopShared::new()?);
-        svc.shutdown.add_waker(Arc::clone(&shared.wake));
-        shareds.push(shared);
-    }
-    let rr = Arc::new(AtomicUsize::new(0));
-    let mut listener = Some(listener);
+    let listener = Arc::new(listener);
     let mut handles = Vec::with_capacity(io_threads);
     for idx in 0..io_threads {
+        let shared = Arc::new(LoopShared::new()?);
+        svc.shutdown.add_waker(Arc::clone(&shared.wake));
         let el = EventLoop {
-            idx,
             ep: Epoll::new()?,
-            shared: Arc::clone(&shareds[idx]),
-            peers: shareds.clone(),
-            rr: Arc::clone(&rr),
-            listener: if idx == 0 { listener.take() } else { None },
+            shared,
+            listener: Some(Arc::clone(&listener)),
             svc: Arc::clone(svc),
             conns: HashMap::new(),
             next_conn: 0,
@@ -286,7 +278,9 @@ impl EventLoop {
     /// The loop thread's body: run until drained, or until a panic
     /// escapes the per-request catch — that one is caught here, counted
     /// and reported through `/healthz`. Either way the loop's
-    /// connections are closed before the thread ends.
+    /// connections are closed before the thread ends. The last loop to
+    /// go raises shutdown (a no-op after a drain): with no loop left,
+    /// nothing accepts, so the reloader and `Server::join` must not wait.
     fn run_to_exit(mut self) {
         if catch_unwind(AssertUnwindSafe(|| self.run())).is_err() {
             self.svc.metrics.counter_add("serve.io_loop_panics", 1);
@@ -297,8 +291,9 @@ impl EventLoop {
         for id in ids {
             self.close_conn(id);
         }
-        self.reject_inbox();
-        self.live_loops.fetch_sub(1, Ordering::AcqRel);
+        if self.live_loops.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.svc.shutdown.trigger();
+        }
     }
 
     fn run(&mut self) {
@@ -309,7 +304,7 @@ impl EventLoop {
             .expect("cannot register loop eventfd");
         if let Some(l) = &self.listener {
             self.ep
-                .add(l.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)
+                .add(l.as_raw_fd(), EPOLLIN | EPOLLEXCLUSIVE, TOKEN_LISTENER)
                 .expect("cannot register listener");
         }
         let mut events = vec![EpollEvent::empty(); 256];
@@ -329,14 +324,19 @@ impl EventLoop {
                 Err(_) => continue,
             };
             self.svc.metrics.counter_add("serve.epoll_wakeups", 1);
+            // Serve the connections this loop owns before accepting more.
+            let mut accept = false;
             for ev in &events[..n] {
                 // Copy out of the (possibly packed) struct before use.
                 let (token, bits) = (ev.data, ev.events);
                 match token {
                     TOKEN_WAKE => self.on_wake(),
-                    TOKEN_LISTENER => self.on_accept(),
+                    TOKEN_LISTENER => accept = true,
                     id => self.on_conn_event(id, bits),
                 }
+            }
+            if accept {
+                self.on_accept();
             }
             self.expire_deadlines();
         }
@@ -380,26 +380,22 @@ impl EventLoop {
                     metrics.counter_add("serve.connections_total", 1);
                     // The live open-connection count is the shed bound
                     // here — the epoll analogue of a full accept queue.
-                    if self.svc.open_conns.count() >= self.svc.max_conns as i64 {
+                    if !self.svc.open_conns.try_inc(self.svc.max_conns) {
                         shed_conn(metrics, &stream);
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
+                    let id = self.next_conn;
+                    let conn = Conn::new(stream, self.svc.request_timeout);
+                    let fd = conn.stream.as_raw_fd();
+                    if conn.stream.set_nonblocking(true).is_err()
+                        || self.ep.add(fd, conn.interest(), id).is_err()
+                    {
+                        self.svc.open_conns.dec();
                         continue;
                     }
-                    self.svc.open_conns.inc();
-                    let target = self.rr.fetch_add(1, Ordering::Relaxed) % self.peers.len();
-                    if target == self.idx {
-                        self.register_conn(stream);
-                    } else {
-                        let peer = &self.peers[target];
-                        peer.inbox
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .push(stream);
-                        peer.wake.wake();
-                    }
+                    self.next_conn += 1;
+                    self.conns.insert(id, conn);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => return, // WouldBlock: drained the backlog
@@ -407,36 +403,8 @@ impl EventLoop {
         }
     }
 
-    /// Adopt a connection (locally accepted or handed off by loop 0).
-    /// The open-connection gauge was already bumped at accept.
-    fn register_conn(&mut self, stream: TcpStream) {
-        let id = self.next_conn;
-        self.next_conn += 1;
-        let fd = stream.as_raw_fd();
-        let conn = Conn::new(stream, self.svc.request_timeout);
-        if self.ep.add(fd, conn.interest(), id).is_err() {
-            self.svc.open_conns.dec();
-            return;
-        }
-        self.conns.insert(id, conn);
-    }
-
     fn on_wake(&mut self) {
         self.shared.wake.drain();
-        let handed: Vec<TcpStream> = std::mem::take(
-            &mut *self
-                .shared
-                .inbox
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        for stream in handed {
-            if self.draining {
-                self.svc.open_conns.dec();
-            } else {
-                self.register_conn(stream);
-            }
-        }
         let done: Vec<Completion> = std::mem::take(
             &mut *self
                 .shared
@@ -806,7 +774,6 @@ impl EventLoop {
         if let Some(listener) = self.listener.take() {
             self.ep.delete(listener.as_raw_fd());
         }
-        self.reject_inbox();
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in ids {
             let Some(conn) = self.conns.get(&id) else {
@@ -818,21 +785,6 @@ impl EventLoop {
             if matches!(conn.phase, ConnPhase::Reading) && !conn.write_pending() {
                 self.close_conn(id);
             }
-        }
-    }
-
-    /// Connections handed off but never adopted still own a gauge slot.
-    fn reject_inbox(&mut self) {
-        let handed: Vec<TcpStream> = std::mem::take(
-            &mut *self
-                .shared
-                .inbox
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        for stream in handed {
-            self.svc.open_conns.dec();
-            drop(stream);
         }
     }
 

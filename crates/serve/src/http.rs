@@ -17,10 +17,10 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// Largest accepted request line or single header line, in bytes.
-const MAX_LINE: usize = 8 * 1024;
+pub const MAX_LINE: usize = 8 * 1024;
 
 /// Largest accepted header count.
-const MAX_HEADERS: usize = 64;
+pub const MAX_HEADERS: usize = 64;
 
 /// The per-request deadline, armed by the request's first byte.
 ///
@@ -128,16 +128,23 @@ fn parse_header_line(text: &str) -> Result<(String, String), ParseError> {
 }
 
 /// Declared body length (0 when absent), bounds-checked against the cap.
+/// Digits only, and repeated headers must agree (RFC 9112 §6.3).
 fn content_length_of(headers: &[(String, String)], max_body: usize) -> Result<usize, ParseError> {
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| ParseError::BadRequest(format!("bad content-length: {v:?}")))
-        })
-        .transpose()?
-        .unwrap_or(0);
+    let mut declared = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let n = v
+            .parse::<usize>()
+            .ok()
+            .filter(|_| v.bytes().all(|b| b.is_ascii_digit()))
+            .ok_or_else(|| ParseError::BadRequest(format!("bad content-length: {v:?}")))?;
+        if declared.is_some_and(|d| d != n) {
+            return Err(ParseError::BadRequest(
+                "conflicting content-length headers".into(),
+            ));
+        }
+        declared = Some(n);
+    }
+    let content_length = declared.unwrap_or(0);
     if content_length > max_body {
         return Err(ParseError::BodyTooLarge {
             declared: content_length,
@@ -196,8 +203,10 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<(Request, usize)>
     let head_end = loop {
         let Some(nl) = buf[start..].iter().position(|&b| b == b'\n') else {
             // No terminator yet: partial line. Reject it already if it
-            // cannot possibly fit the line cap.
-            if buf.len() - start > MAX_LINE {
+            // cannot possibly fit the line cap (a trailing `\r` may be
+            // half a CRLF).
+            let partial = &buf[start..];
+            if partial.strip_suffix(b"\r").unwrap_or(partial).len() > MAX_LINE {
                 return Err(if lines.is_empty() {
                     ParseError::BadRequest(format!("request line exceeds {MAX_LINE} bytes"))
                 } else {
@@ -241,7 +250,9 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<(Request, usize)>
     }
 
     let content_length = content_length_of(&headers, max_body)?;
-    if buf.len() < head_end + content_length {
+    // Not `head_end + content_length`, which a huge declared length
+    // overflows.
+    if buf.len() - head_end < content_length {
         return Ok(None); // body still in flight
     }
     let body = buf[head_end..head_end + content_length].to_vec();

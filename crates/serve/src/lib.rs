@@ -58,10 +58,11 @@
 //! deadline covers parse → score → reply
 //! ([`ServeConfig::request_timeout`]), panicking handlers are contained
 //! per-connection, an event loop that dies anyway flips `/healthz` to
-//! `503 degraded`, and `POST /reload` atomically swaps a verified new
-//! artifact into the [`app::AppSlot`] without dropping traffic. The
-//! [`chaos`] module (feature `chaos`, always on in tests) injects seeded
-//! network faults to prove all of it.
+//! `503 degraded` while the others keep accepting (once every loop is
+//! dead the server stops), and `POST /reload` atomically swaps a
+//! verified new artifact into the [`app::AppSlot`] without dropping
+//! traffic. The [`chaos`] module (feature `chaos`, always on in tests)
+//! injects seeded network faults to prove all of it.
 
 pub mod app;
 #[cfg(any(test, feature = "chaos"))]

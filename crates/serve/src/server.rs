@@ -10,15 +10,17 @@
 //!                    └──────────────┘     + eventfd      └──────────┘
 //! ```
 //!
-//! * **Event loops** — `io_threads` loops own every connection as a
-//!   nonblocking state machine. They shed connections beyond `max_conns`
-//!   at accept with `503` + `Retry-After`, parse, and answer every
-//!   endpoint but `/reload` themselves. That includes `/predict`: its
+//! * **Event loops** — `io_threads` loops share the one listener; each
+//!   accepts for itself and owns what it accepts as a nonblocking state
+//!   machine. They shed connections beyond `max_conns` at accept with
+//!   `503` + `Retry-After`, parse, and answer every endpoint but
+//!   `/reload` themselves. That includes `/predict`: its
 //!   Eq. 7 score reads tables precomputed at load (a few µs), and
 //!   [`crate::app::MAX_PREDICT_WORDS`] bounds the work one request can
 //!   put on a loop. A panicking handler costs its connection a `500`;
 //!   a panic that escapes that catch kills its loop, which counts itself
-//!   in `serve.io_loop_panics` and flips `/healthz` to `503 degraded`.
+//!   in `serve.io_loop_panics` and flips `/healthz` to `503 degraded`;
+//!   the surviving loops keep accepting.
 //!   Each request runs against the app the [`AppSlot`] held at dispatch,
 //!   and under a deadline ([`ServeConfig::request_timeout`]) spanning
 //!   parse → score → reply.
@@ -33,6 +35,8 @@
 //!   flag and rings every loop's eventfd. The loops stop accepting, close
 //!   idle connections, answer what is in flight, and exit; the reloader
 //!   exits once the last loop is gone; [`Server::join`] joins them all.
+//!   The last loop to die raises the flag itself, so a server whose
+//!   every loop has died stops instead of running on unreachable.
 #![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
 use crate::app::{App, AppSlot, ServeError};
@@ -66,8 +70,8 @@ impl CompletionSink {
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:8391` (port 0 picks a free port).
     pub addr: String,
-    /// Event-loop threads; each owns a round-robin share of the open
-    /// connections and answers their requests.
+    /// Event-loop threads; each accepts from the shared listener and
+    /// answers the requests of the connections it accepted.
     pub io_threads: usize,
     /// Request body cap in bytes (`413` beyond it).
     pub max_body: usize,
@@ -200,21 +204,29 @@ impl ConnGauge {
         }
     }
 
-    pub(crate) fn inc(&self) {
-        let v = self.open.fetch_add(1, Ordering::AcqRel) + 1;
+    /// Count one more open connection, unless `cap` are open already.
+    /// One atomic step: every loop accepts, so a separate check and
+    /// increment could let two loops pass the cap together.
+    pub(crate) fn try_inc(&self, cap: usize) -> bool {
+        let Ok(prev) = self
+            .open
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
+                (v < cap as i64).then_some(v + 1)
+            })
+        else {
+            return false;
+        };
+        let v = prev + 1;
         self.metrics.gauge_set("serve.open_conns", v as f64);
         if v > self.peak.fetch_max(v, Ordering::AcqRel) {
             self.metrics.gauge_set("serve.open_conns_peak", v as f64);
         }
+        true
     }
 
     pub(crate) fn dec(&self) {
         let v = self.open.fetch_sub(1, Ordering::AcqRel) - 1;
         self.metrics.gauge_set("serve.open_conns", v as f64);
-    }
-
-    pub(crate) fn count(&self) -> i64 {
-        self.open.load(Ordering::Acquire)
     }
 }
 
@@ -308,7 +320,7 @@ impl Server {
             svc.metrics.gauge_set("serve.io_threads", io_threads as f64);
 
             // Event loops first: they register their eventfds as shutdown
-            // wakers and own the listener.
+            // wakers and share the listener.
             let live_loops = Arc::new(AtomicUsize::new(io_threads));
             let mut threads = crate::epoll::spawn_loops(&svc, listener, io_threads, &live_loops)
                 .map_err(io_err("cannot start epoll event loops"))?;
@@ -355,8 +367,8 @@ impl Server {
         self.join();
     }
 
-    /// Block until shutdown is triggered elsewhere (`POST /shutdown`),
-    /// then reap the threads.
+    /// Block until shutdown is triggered elsewhere (`POST /shutdown`, or
+    /// the last event loop dying), then reap the threads.
     pub fn join(self) {
         for handle in self.threads {
             let _ = handle.join();

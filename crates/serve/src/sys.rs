@@ -3,10 +3,9 @@
 //!
 //! Only what the readiness-driven transport ([`crate::epoll`]) needs:
 //! an epoll instance with add/modify/delete/wait, and an eventfd used as
-//! a cross-thread wakeup (reload completions, connection handoff,
-//! shutdown). Everything is wrapped in RAII types that close their fd on
-//! drop; `epoll_wait` retries `EINTR` so callers never see spurious
-//! interrupt errors.
+//! a cross-thread wakeup (reload completions, shutdown). Everything is
+//! wrapped in RAII types that close their fd on drop; `epoll_wait`
+//! retries `EINTR` so callers never see spurious interrupt errors.
 //!
 //! Linux-only by construction (`cfg(target_os = "linux")` at the module
 //! declaration): on other platforms this file is not compiled at all,
@@ -26,6 +25,9 @@ pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 /// Peer shut down its write half (`EPOLLRDHUP`).
 pub const EPOLLRDHUP: u32 = 0x2000;
+/// Wake only one of the epoll instances waiting on this fd
+/// (`EPOLLEXCLUSIVE`); valid at `add` only, never at `modify`.
+pub const EPOLLEXCLUSIVE: u32 = 1 << 28;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;

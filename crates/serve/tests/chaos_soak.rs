@@ -3,17 +3,19 @@
 //! hostile peers cost the server one connection each, never a thread and
 //! never a healthy client's answer; a handler panic is contained to its
 //! connection, counted, and survived; an event loop that dies anyway
-//! degrades `/healthz` loudly while the other loops keep serving.
+//! degrades `/healthz` loudly while the other loops keep accepting and
+//! serving, and once every loop has died the server stops.
 #![cfg(target_os = "linux")]
 
 mod common;
 
 use cold_serve::chaos::ChaosPlan;
 use cold_serve::HttpClient;
-use common::{json, num, predict_score, TestServer, PREDICT};
+use common::{gauge_in, json, num, predict_score, TestServer, PREDICT};
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 #[test]
 fn healthy_traffic_survives_chaos_mix_epoll() {
@@ -90,43 +92,105 @@ fn handler_panic_is_contained_to_one_connection_epoll() {
     assert_eq!(ts.client().get("/healthz").unwrap().status, 200);
 }
 
-#[test]
-fn a_dead_io_loop_flips_healthz_to_degraded_epoll() {
-    let ts = TestServer::start("loop_death", |c| {
-        c.chaos_endpoints = true;
-        c.io_threads = 2;
-    });
-    // Connections are handed out round-robin from loop 0: A lands on
-    // loop 0, B on loop 1. B is a raw socket, so nothing retries its
-    // request on a fresh connection (which would land on loop 0).
-    let mut a = ts.client();
-    let reference = predict_score(&mut a);
-    let mut b = TcpStream::connect(ts.addr).unwrap();
-    b.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-
-    // The panic escapes the per-request catch and ends loop 1, which
-    // closes B unanswered on its way out.
-    b.write_all(b"POST /chaos/panic-loop HTTP/1.1\r\nhost: t\r\ncontent-length: 0\r\n\r\n")
+/// Send `/chaos/panic-loop` on a fresh raw connection (nothing retries
+/// it elsewhere): the panic escapes the per-request catch and ends
+/// whichever loop accepted the connection, which closes it unanswered on
+/// its way out.
+fn kill_one_loop(addr: SocketAddr) {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(b"POST /chaos/panic-loop HTTP/1.1\r\nhost: t\r\ncontent-length: 0\r\n\r\n")
         .unwrap();
     let mut buf = [0u8; 256];
-    match b.read(&mut buf) {
+    match s.read(&mut buf) {
         Ok(n) => assert_eq!(n, 0, "{:?}", String::from_utf8_lossy(&buf[..n])),
         Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
     }
+}
 
-    // Loop 0 lives on: A still scores, and /healthz reports the loss.
-    let health = a.get("/healthz").unwrap();
-    assert_eq!(health.status, 503, "{}", health.body);
-    assert!(
-        health.body.contains("\"status\":\"degraded\""),
-        "{}",
-        health.body
-    );
-    assert_eq!(predict_score(&mut a), reference);
-    let m = a.get("/metrics").unwrap().body;
-    assert_eq!(common::counter_in(&m, "serve.io_loop_panics"), 1);
-    assert_eq!(common::counter_in(&m, "serve.worker_panics"), 0);
-    assert_eq!(a.reconnects(), 0, "A stayed on loop 0 throughout");
+#[test]
+fn a_dead_io_loop_flips_healthz_to_degraded_epoll() {
+    const LOOPS: u64 = 3;
+    let ts = TestServer::start("loop_death", |c| {
+        c.chaos_endpoints = true;
+        c.io_threads = LOOPS as usize;
+    });
+    let reference = predict_score(&mut ts.client());
+
+    // Kill loops one at a time until one is left. A dead loop's epoll
+    // instance closes with it, so each kill lands on a live loop and
+    // every new connection reaches a survivor.
+    for kills in 1..LOOPS {
+        kill_one_loop(ts.addr);
+        let clients: Vec<HttpClient> = (0..20)
+            .map(|i| {
+                let ctx = format!("after {kills} kill(s), connection {i}");
+                let mut c = HttpClient::connect(ts.addr, Duration::from_secs(1))
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                let health = c
+                    .get("/healthz")
+                    .unwrap_or_else(|e| panic!("{ctx}: /healthz: {e}"));
+                assert_eq!(health.status, 503, "{ctx}: {}", health.body);
+                assert!(
+                    health.body.contains("\"status\":\"degraded\""),
+                    "{ctx}: {}",
+                    health.body
+                );
+                let r = c
+                    .post("/predict", PREDICT)
+                    .unwrap_or_else(|e| panic!("{ctx}: /predict: {e}"));
+                assert_eq!(r.status, 200, "{ctx}: {}", r.body);
+                assert_eq!(num(json(&r.body).get("score").unwrap()), reference);
+                assert_eq!(c.reconnects(), 0, "{ctx}: keep-alive broke");
+                c
+            })
+            .collect();
+
+        // Exact accounting: one panic per kill, and the open-connection
+        // gauge counts the 20 clients still open plus the one reading
+        // it, nothing a dead loop held.
+        let mut m = ts.client();
+        let want = clients.len() as f64 + 1.0;
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let body = loop {
+            let body = m.get("/metrics").unwrap().body;
+            let open = gauge_in(&body, "serve.open_conns");
+            if open == Some(want) {
+                break body;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "after {kills} kill(s): serve.open_conns {open:?}, want {want}"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert_eq!(common::counter_in(&body, "serve.io_loop_panics"), kills);
+        assert_eq!(common::counter_in(&body, "serve.worker_panics"), 0);
+    }
+}
+
+#[test]
+fn the_server_stops_once_every_io_loop_has_died_epoll() {
+    let mut ts = TestServer::start("last_loop_death", |c| {
+        c.chaos_endpoints = true;
+        c.io_threads = 1;
+    });
+    let server = ts.server.take().unwrap();
+    let slot = Arc::clone(server.app_slot());
+    kill_one_loop(ts.addr);
+
+    // No `/shutdown` was sent: the dying last loop raises shutdown
+    // itself, so the reloader leaves and `join` returns.
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        tx.send(()).unwrap();
+    });
+    rx.recv_timeout(Duration::from_secs(2))
+        .expect("Server::join still blocked 2 s after the last io loop died");
+    assert_eq!(slot.metrics().snapshot().counter("serve.io_loop_panics"), 1);
+    // The listener closed with the last loop.
+    assert!(TcpStream::connect(ts.addr).is_err());
 }
 
 #[test]

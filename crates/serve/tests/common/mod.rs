@@ -184,6 +184,15 @@ pub fn histogram_count_in(metrics_body: &str, name: &str) -> u64 {
         .map_or(0, |l| num(json(l).get("count").unwrap()) as u64)
 }
 
+/// Extract one gauge from a `cold-obs/v1` JSONL snapshot body.
+pub fn gauge_in(metrics_body: &str, name: &str) -> Option<f64> {
+    let needle = format!("\"name\":\"{name}\"");
+    metrics_body
+        .lines()
+        .find(|l| l.contains("\"type\":\"gauge\"") && l.contains(&needle))
+        .map(|l| num(json(l).get("value").unwrap()))
+}
+
 pub fn json(body: &str) -> Value {
     serde_json::from_str(body).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e}"))
 }

@@ -1,6 +1,6 @@
-//! The event loops' own behavior: the open-connection cap, cross-loop
-//! connection handoff, incremental parsing of split and pipelined
-//! requests, reloads kept off the loop, the reloader's one-slot queue
+//! The event loops' own behavior: the open-connection cap, concurrent
+//! keep-alive clients across loops, incremental parsing of split and
+//! pipelined requests, reloads kept off the loop, the reloader's one-slot queue
 //! and the reload deadline, and the transport's own metrics
 //! (`serve.open_conns`, `serve.epoll_wakeups`, `serve.io_read_partial`).
 //! Endpoint semantics are covered by the chaos/reload/http suites.
@@ -8,7 +8,9 @@
 
 mod common;
 
-use common::{json, model_file, num, predict_score, tiled_model_file, TestServer, PREDICT};
+use common::{
+    gauge_in, json, model_file, num, predict_score, tiled_model_file, TestServer, PREDICT,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -17,15 +19,6 @@ use std::time::{Duration, Instant};
 /// it (predictor and influencer-ranking precompute) takes far longer
 /// than answering a `/predict`.
 const SLOW_LOAD_USERS: u32 = 1_000_000;
-
-/// Extract one gauge from a `cold-obs/v1` JSONL snapshot body.
-fn gauge_in(metrics_body: &str, name: &str) -> Option<f64> {
-    let needle = format!("\"name\":\"{name}\"");
-    metrics_body
-        .lines()
-        .find(|l| l.contains("\"type\":\"gauge\"") && l.contains(&needle))
-        .map(|l| num(json(l).get("value").unwrap()))
-}
 
 #[test]
 fn open_connection_cap_sheds_with_503() {
@@ -71,15 +64,15 @@ fn open_connection_cap_sheds_with_503() {
 }
 
 #[test]
-fn connections_are_handed_across_io_loops() {
-    let ts = TestServer::start("epoll_handoff", |c| {
+fn concurrent_keep_alive_clients_get_identical_scores_each_scored_once() {
+    let ts = TestServer::start("epoll_concurrent", |c| {
         c.io_threads = 2;
     });
     let mut c = ts.client();
     let reference = predict_score(&mut c);
 
-    // More concurrent connections than loops: round-robin handoff puts
-    // some on loop 1, which scores their requests itself.
+    // More concurrent keep-alive connections than loops, each owned by
+    // whichever loop accepted it and scored there.
     let addr = ts.addr;
     let handles: Vec<_> = (0..4)
         .map(|_| {
@@ -98,7 +91,7 @@ fn connections_are_handed_across_io_loops() {
     for h in handles {
         let (scores, reconnects) = h.join().unwrap();
         for s in scores {
-            assert_eq!(s, reference, "score drifted across io loops");
+            assert_eq!(s, reference, "score drifted between connections");
         }
         assert_eq!(reconnects, 0, "keep-alive reuse must hold under epoll");
     }

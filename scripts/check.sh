@@ -204,10 +204,30 @@ if [ "$ref" != "$after" ]; then
   echo "answer changed after a same-bytes reload: $ref -> $after" >&2
   exit 1
 fi
+# Loop death: the panic ends the loop that accepted the connection, which
+# closes it unanswered (curl exit 52, empty reply). Every new connection
+# must reach the surviving loop: /healthz reports degraded, /predict
+# still answers.
+rc=0
+curl -s -X POST "$cbase/chaos/panic-loop" >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 52 ]; then
+  echo "/chaos/panic-loop: wanted an empty reply (curl exit 52), got exit $rc" >&2
+  exit 1
+fi
+for i in $(seq 1 20); do
+  out=$(curl -s --max-time 1 -w ' %{http_code}' "$cbase/healthz" || true)
+  case "$out" in
+    *'"status":"degraded"'*' 503') ;;
+    *) echo "connection $i after a loop death: wanted 503 degraded, got: $out" >&2
+       exit 1 ;;
+  esac
+done
+curl -sf -X POST "$cbase/predict" -d '{"publisher":0,"consumer":1,"words":[0]}' \
+  | grep -q '"score":'
 curl -sf -X POST "$cbase/shutdown" | grep -q 'shutting down'
 wait "$chaos_pid"
 grep -q "drained and stopped" "$SMOKE_DIR/chaos_serve.log"
-echo "chaos mix survived; corrupt reload rejected; valid reload swapped; clean drain"
+echo "chaos mix survived; corrupt reload rejected; valid reload swapped; dead loop routed around; clean drain"
 
 echo "== bench_serve --quick =="
 cargo run -q --release -p cold-bench --bin bench_serve -- --quick
