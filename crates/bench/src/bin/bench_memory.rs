@@ -90,7 +90,8 @@ struct BenchReport {
     headline: String,
 }
 
-/// The wide-vocab bench world (same base as `bench_parallel`) at `scale`.
+/// A wide-vocabulary world (240 users, V = 12 000, K = 16, C = 6) at
+/// `scale`: the K × V word counts dominate the counter footprint.
 fn world(scale: f64) -> SocialDataset {
     let config = WorldConfig {
         num_users: 240,

@@ -53,21 +53,21 @@ pub struct SuperstepWork {
     pub post_ops: Vec<u64>,
     /// Link-sampling operations per shard.
     pub link_ops: Vec<u64>,
-    /// Bytes of global counters exchanged at the barrier. Under the
-    /// delta-sync strategy this is the measured serialized size of the
-    /// shards' `CountDelta`s; under the clone-merge baseline it is the
-    /// static full-counter-block estimate the pre-delta engine shipped.
+    /// Bytes of global counters exchanged at the barrier: the measured
+    /// serialized size of the shards' `CountDelta`s. A single-shard
+    /// superstep has no barrier and reports 0.
     pub sync_bytes: u64,
     /// Measured serialized delta bytes contributed by each shard at the
-    /// barrier (delta-sync supersteps only; empty when the superstep ran
-    /// the clone-merge baseline or the sequential degenerate path, where
-    /// no per-shard wire size exists to measure).
+    /// barrier (empty for a single-shard superstep, which ships nothing).
     pub shard_sync_bytes: Vec<u64>,
 }
 
 impl ClusterCostModel {
     /// Simulated wall time of one superstep on `nodes` machines, with the
-    /// shards distributed round-robin over the nodes.
+    /// shards distributed round-robin over the nodes. The sync term ships
+    /// the superstep's `sync_bytes` to every node and adds the barrier
+    /// latency; a single-shard superstep reports 0 bytes, so only the
+    /// latency remains.
     pub fn superstep_seconds(&self, work: &SuperstepWork, nodes: usize) -> f64 {
         assert!(nodes >= 1);
         let shards = work.post_ops.len().max(work.link_ops.len());

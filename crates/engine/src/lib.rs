@@ -27,4 +27,4 @@ pub mod cluster;
 pub mod parallel;
 
 pub use cluster::ClusterCostModel;
-pub use parallel::{ParallelGibbs, ParallelStats, SyncStrategy};
+pub use parallel::{ParallelGibbs, ParallelStats};

@@ -13,29 +13,22 @@
 //!
 //! ## Delta synchronization
 //!
-//! Two barrier strategies implement that reconciliation
-//! ([`SyncStrategy`]):
+//! Each shard keeps a *persistent* dense replica of the state across
+//! supersteps. While sampling, the conditionals mirror every counter
+//! update into a sparse [`DeltaAcc`](cold_core::state::DeltaAcc); the
+//! barrier drains each shard's [`CountDelta`], applies them to the
+//! authoritative state in shard order, and broadcasts each delta to the
+//! *other* replicas. Per-superstep traffic is O(shards × changed cells) —
+//! the measured serialized delta bytes are reported as `sync_bytes` —
+//! instead of O(shards × full state).
 //!
-//! * **Delta** (default) — each shard keeps a *persistent* dense replica
-//!   of the state across supersteps. While sampling, the conditionals
-//!   mirror every counter update into a sparse
-//!   [`DeltaAcc`](cold_core::state::DeltaAcc); the barrier drains each
-//!   shard's [`CountDelta`], applies them to the authoritative state in
-//!   shard order, and broadcasts each delta to the *other* replicas.
-//!   Per-superstep traffic is O(shards × changed cells) — the measured
-//!   serialized delta bytes are reported as `sync_bytes` — instead of
-//!   O(shards × full state).
-//! * **CloneMerge** — the pre-delta engine: every worker clones the full
-//!   state at superstep start and the barrier diffs full states
-//!   element-wise. Kept as the measured baseline for the shard-scaling
-//!   bench (`bench_parallel`) and as the reference arm of the
-//!   delta-equivalence tests.
-//!
-//! The two strategies are **bit-identical**: a replica's counters equal
-//! the authoritative barrier state (integer delta addition is commutative
-//! and exact), per-(superstep, shard) RNG streams are shared, and each
-//! worker still rebuilds its kernel caches per superstep, so every draw
-//! sees exactly the same inputs either way.
+//! The trajectory is a pure function of `(seed, shards)`: a replica's
+//! counters equal the authoritative barrier state at every superstep
+//! start (integer delta addition is commutative and exact), the
+//! per-(superstep, shard) RNG streams derive from the seed, and each
+//! worker rebuilds its kernel caches per superstep. The golden-trace suite
+//! (`tests/golden_trace.rs`) pins that trajectory at shards {2, 4} under
+//! every kernel.
 
 use crate::cluster::{ClusterCostModel, SuperstepWork};
 use cold_core::checkpoint::{
@@ -48,7 +41,6 @@ use cold_core::estimates::EstimateAccumulator;
 use cold_core::params::ColdConfig;
 use cold_core::sampler::{complete_log_likelihood, TrainTrace};
 use cold_core::state::{CountDelta, CountState, DeltaAcc, PostsView};
-use cold_core::storage::CounterStore;
 use cold_core::ColdModel;
 use cold_graph::CsrGraph;
 use cold_math::rng::{seeded_rng, Rng, RngFactory};
@@ -77,21 +69,7 @@ impl ParallelStats {
     }
 }
 
-/// How the sharded engine reconciles shard work at the superstep barrier.
-/// See the [module docs](self) for the full contract; the two strategies
-/// produce bit-identical trajectories and differ only in memory traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncStrategy {
-    /// Sparse delta sync: persistent per-shard replicas, O(changed cells)
-    /// barrier traffic, measured `sync_bytes`.
-    #[default]
-    Delta,
-    /// Clone-everything baseline: per-superstep full-state clones,
-    /// element-wise diff at the barrier, estimated `sync_bytes`.
-    CloneMerge,
-}
-
-/// Persistent per-shard worker state of the [`SyncStrategy::Delta`] path.
+/// Persistent per-shard worker state of the delta-sync barrier.
 struct ShardWorker {
     /// Dense replica of the authoritative state. Counters equal the
     /// barrier state at every superstep start; assignment entries are
@@ -115,13 +93,11 @@ impl ShardWorker {
 
 /// How a [`ParallelGibbs`] executes its supersteps.
 enum ShardMode {
-    /// Two or more shards: per-shard RNG streams, barrier reconciliation
-    /// under the selected [`SyncStrategy`] (the AD-LDA approximation).
+    /// Two or more shards: per-shard RNG streams and replicas, reconciled
+    /// by delta sync at the barrier (the AD-LDA approximation).
     Sharded {
         factory: RngFactory,
-        strategy: SyncStrategy,
-        /// One entry per shard under [`SyncStrategy::Delta`]; empty under
-        /// [`SyncStrategy::CloneMerge`] (workers clone per superstep).
+        /// One entry per shard.
         workers: Vec<ShardWorker>,
     },
     /// Exactly one shard: run the sweep in place with a persistent RNG and
@@ -146,10 +122,6 @@ pub struct ParallelGibbs {
     /// Authoritative state between supersteps.
     global: CountState,
     mode: ShardMode,
-    /// Static estimate of the full global-counter block (bytes): what the
-    /// clone-merge baseline ships per barrier. The delta path reports
-    /// measured serialized delta sizes instead.
-    clone_sync_bytes: u64,
     /// Completed supersteps (checkpoints are cut at these barriers).
     sweeps_done: usize,
     /// Partial posterior averages collected after burn-in. A field (not a
@@ -161,28 +133,13 @@ pub struct ParallelGibbs {
 }
 
 impl ParallelGibbs {
-    /// Prepare a parallel sampler with `shards` partitions and the default
-    /// [`SyncStrategy::Delta`] barrier.
+    /// Prepare a parallel sampler with `shards` partitions.
     pub fn new(
         corpus: &Corpus,
         graph: &CsrGraph,
         config: ColdConfig,
         shards: usize,
         seed: u64,
-    ) -> Self {
-        Self::with_strategy(corpus, graph, config, shards, seed, SyncStrategy::default())
-    }
-
-    /// Prepare a parallel sampler with an explicit barrier strategy. The
-    /// strategy never changes the trajectory — only the barrier's memory
-    /// traffic and the meaning of the reported `sync_bytes`.
-    pub fn with_strategy(
-        corpus: &Corpus,
-        graph: &CsrGraph,
-        config: ColdConfig,
-        shards: usize,
-        seed: u64,
-        strategy: SyncStrategy,
     ) -> Self {
         assert!(shards >= 1, "need at least one shard");
         config.validate().expect("invalid COLD configuration");
@@ -198,20 +155,10 @@ impl ParallelGibbs {
             let factory = RngFactory::new(seed);
             let mut init_rng = factory.stream(u64::MAX);
             let global = CountState::init_random(&config, &posts, graph, &mut init_rng);
-            let workers = match strategy {
-                SyncStrategy::Delta => (0..shards).map(|_| ShardWorker::new(&global)).collect(),
-                SyncStrategy::CloneMerge => Vec::new(),
-            };
-            (
-                global,
-                ShardMode::Sharded {
-                    factory,
-                    strategy,
-                    workers,
-                },
-            )
+            let workers = (0..shards).map(|_| ShardWorker::new(&global)).collect();
+            (global, ShardMode::Sharded { factory, workers })
         };
-        let (shard_posts, shard_links, shard_neg_links, clone_sync_bytes) =
+        let (shard_posts, shard_links, shard_neg_links) =
             Self::build_partitions(&posts, &global, shards);
         let this = Self {
             acc: EstimateAccumulator::new(&config),
@@ -223,7 +170,6 @@ impl ParallelGibbs {
             shard_neg_links,
             global,
             mode,
-            clone_sync_bytes,
             sweeps_done: 0,
             seed,
         };
@@ -239,17 +185,12 @@ impl ParallelGibbs {
     /// the identical partition. Compared with the round-robin placement it
     /// replaces, LPT keeps heavy-tailed author distributions balanced
     /// (`parallel.shard_imbalance` tracks the achieved max/mean ratio).
-    ///
-    /// Also returns the byte size of the full global-counter block — the
-    /// per-barrier traffic of the clone-merge baseline (§4.3: "global
-    /// counters are generally only related to latent spaces which are
-    /// low-dimensional").
     #[allow(clippy::type_complexity)]
     fn build_partitions(
         posts: &PostsView,
         global: &CountState,
         shards: usize,
-    ) -> (Vec<Vec<usize>>, Vec<Vec<usize>>, Vec<Vec<usize>>, u64) {
+    ) -> (Vec<Vec<usize>>, Vec<Vec<usize>>, Vec<Vec<usize>>) {
         let num_users = global.n_i.len();
         let mut post_count = vec![0u64; num_users];
         for &a in &posts.authors {
@@ -282,14 +223,7 @@ impl ParallelGibbs {
         for (e, &(i, _)) in global.neg_links.iter().enumerate() {
             shard_neg_links[user_shard[i as usize] as usize].push(e);
         }
-        let clone_sync_bytes = 4
-            * (global.n_ck.len()
-                + global.n_c.len()
-                + global.n_ckt.len()
-                + global.n_kv.len()
-                + global.n_k.len()
-                + global.n_cc.len()) as u64;
-        (shard_posts, shard_links, shard_neg_links, clone_sync_bytes)
+        (shard_posts, shard_links, shard_neg_links)
     }
 
     /// Max/mean owned post ops across shards (1.0 = perfectly balanced).
@@ -317,7 +251,7 @@ impl ParallelGibbs {
     /// partition and the RNG streams). Resume is **bit-identical**: the
     /// single-shard mode restores its sequential RNG stream, and the
     /// sharded mode's per-(superstep, shard) streams are pure functions of
-    /// the base seed, so they need no serialized state at all. Delta-mode
+    /// the base seed, so they need no serialized state at all. Shard
     /// replicas are barrier-local (each equals the checkpointed state's
     /// counters), so the checkpoint format carries nothing extra for them.
     ///
@@ -365,11 +299,10 @@ impl ParallelGibbs {
         } else {
             ShardMode::Sharded {
                 factory: RngFactory::new(ckpt.seed),
-                strategy: SyncStrategy::Delta,
                 workers: (0..shards).map(|_| ShardWorker::new(&global)).collect(),
             }
         };
-        let (shard_posts, shard_links, shard_neg_links, clone_sync_bytes) =
+        let (shard_posts, shard_links, shard_neg_links) =
             Self::build_partitions(&posts, &global, shards);
         let this = Self {
             config,
@@ -380,7 +313,6 @@ impl ParallelGibbs {
             shard_neg_links,
             global,
             mode,
-            clone_sync_bytes,
             sweeps_done: ckpt.sweeps_done,
             acc: ckpt.acc,
             seed: ckpt.seed,
@@ -553,33 +485,19 @@ impl ParallelGibbs {
 
     /// One bulk-synchronous superstep: every shard resamples its items
     /// against stale counters + its own updates; the barrier reconciles
-    /// under the configured [`SyncStrategy`]. With a single shard this
-    /// degenerates to an in-place sequential sweep (see [`ShardMode`]).
+    /// them by delta sync. With a single shard this degenerates to an
+    /// in-place sequential sweep (see [`ShardMode`]).
     pub fn superstep(&mut self, sweep: usize) -> SuperstepWork {
         let metrics = self.config.metrics.0.clone();
         let sync = match &self.mode {
             ShardMode::Sequential { .. } => "seq",
-            ShardMode::Sharded {
-                strategy: SyncStrategy::CloneMerge,
-                ..
-            } => "clone",
-            ShardMode::Sharded {
-                strategy: SyncStrategy::Delta,
-                ..
-            } => "delta",
+            ShardMode::Sharded { .. } => "delta",
         };
         self.trace_superstep("superstep_begin", sweep, sync);
         let t_step = metrics.start();
         let work = match &self.mode {
             ShardMode::Sequential { .. } => self.superstep_sequential(sweep),
-            ShardMode::Sharded {
-                strategy: SyncStrategy::CloneMerge,
-                ..
-            } => self.superstep_clone_merge(sweep),
-            ShardMode::Sharded {
-                strategy: SyncStrategy::Delta,
-                ..
-            } => self.superstep_delta(sweep),
+            ShardMode::Sharded { .. } => self.superstep_delta(sweep),
         };
         metrics.observe_since("parallel.superstep_seconds", t_step);
         metrics.counter_add("parallel.supersteps", 1);
@@ -610,7 +528,8 @@ impl ParallelGibbs {
     }
 
     /// The shards=1 superstep: one in-place sweep with the persistent RNG
-    /// and kernel caches, mirroring `GibbsSampler::sweep` exactly.
+    /// and kernel caches, mirroring `GibbsSampler::sweep` exactly. There is
+    /// no barrier, so nothing is synchronized: `sync_bytes` is 0.
     fn superstep_sequential(&mut self, sweep: usize) -> SuperstepWork {
         let metrics = self.config.metrics.0.clone();
         let hyper = self.config.hyper;
@@ -643,124 +562,9 @@ impl ParallelGibbs {
         SuperstepWork {
             post_ops: vec![self.posts.len() as u64],
             link_ops: vec![(n_links + n_neg) as u64],
-            sync_bytes: self.clone_sync_bytes,
+            sync_bytes: 0,
             shard_sync_bytes: Vec::new(),
         }
-    }
-
-    /// The clone-everything baseline superstep (pre-delta engine).
-    fn superstep_clone_merge(&mut self, sweep: usize) -> SuperstepWork {
-        let metrics = self.config.metrics.0.clone();
-        let hyper = self.config.hyper;
-        let rho = annealed_rho(&self.config, sweep);
-        let snapshot = &self.global;
-        let ShardMode::Sharded { factory, .. } = &self.mode else {
-            unreachable!("dispatched on mode");
-        };
-        // Each worker gets a private clone of the full state. Assignments
-        // are partitioned (each item has exactly one owner shard), so the
-        // merge below is conflict-free on assignments; counters merge by
-        // delta addition.
-        let results: Vec<(CountState, KernelCounters)> = std::thread::scope(|scope| {
-            let posts = &self.posts;
-            let shard_posts = &self.shard_posts;
-            let shard_links = &self.shard_links;
-            let shard_neg_links = &self.shard_neg_links;
-            let config = &self.config;
-            let handles: Vec<_> = (0..self.shards)
-                .map(|s| {
-                    let metrics = metrics.clone();
-                    scope.spawn(move || {
-                        // Gather phase: snapshot the stale global counters
-                        // and rebuild the kernel caches against them (the
-                        // AliasMh proposals are re-snapshotted per
-                        // superstep, matching the sequential sampler's
-                        // per-sweep refresh).
-                        let t_gather = metrics.start();
-                        let mut local = snapshot.clone();
-                        let mut rng = factory.stream((sweep as u64) << 16 | s as u64);
-                        let mut scratch = Scratch::for_config(config);
-                        scratch.begin_sweep(&local);
-                        metrics.observe_since("parallel.gather_seconds", t_gather);
-                        // Apply phase: resample every owned item.
-                        let t_apply = metrics.start();
-                        for &d in &shard_posts[s] {
-                            resample_post(
-                                &mut local,
-                                posts,
-                                d,
-                                &hyper,
-                                rho,
-                                &mut rng,
-                                &mut scratch,
-                            );
-                        }
-                        for &e in &shard_links[s] {
-                            resample_link(&mut local, e, &hyper, rho, &mut rng, &mut scratch);
-                        }
-                        for &e in &shard_neg_links[s] {
-                            resample_negative_link(
-                                &mut local,
-                                e,
-                                &hyper,
-                                rho,
-                                &mut rng,
-                                &mut scratch,
-                            );
-                        }
-                        metrics.observe_since("parallel.apply_seconds", t_apply);
-                        (local, scratch.take_counters())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-
-        // Barrier: fold counter deltas and collect assignments.
-        let mut next = self.global.clone();
-        let mut kernel_counters = KernelCounters::default();
-        for (s, (local, counters)) in results.iter().enumerate() {
-            let t_merge = metrics.start();
-            for &d in &self.shard_posts[s] {
-                next.post_comm[d] = local.post_comm[d];
-                next.post_topic[d] = local.post_topic[d];
-            }
-            for &e in &self.shard_links[s] {
-                next.link_src_comm[e] = local.link_src_comm[e];
-                next.link_dst_comm[e] = local.link_dst_comm[e];
-            }
-            for &e in &self.shard_neg_links[s] {
-                next.neg_src_comm[e] = local.neg_src_comm[e];
-                next.neg_dst_comm[e] = local.neg_dst_comm[e];
-            }
-            merge_delta(&mut next.n_ic, &local.n_ic, &self.global.n_ic);
-            merge_delta(&mut next.n_i, &local.n_i, &self.global.n_i);
-            merge_delta(&mut next.n_ck, &local.n_ck, &self.global.n_ck);
-            merge_delta(&mut next.n_c, &local.n_c, &self.global.n_c);
-            merge_delta(&mut next.n_ckt, &local.n_ckt, &self.global.n_ckt);
-            merge_delta(&mut next.n_kv, &local.n_kv, &self.global.n_kv);
-            // The word-major mirror and the posts-per-topic counter merge
-            // like any other counter (they are *not* synced over the wire:
-            // each worker derives them from n_kv / n_ck locally, so
-            // sync_bytes is unchanged).
-            merge_delta(&mut next.n_vk, &local.n_vk, &self.global.n_vk);
-            merge_delta(&mut next.n_post_k, &local.n_post_k, &self.global.n_post_k);
-            merge_delta(&mut next.n_k, &local.n_k, &self.global.n_k);
-            merge_delta(&mut next.n_cc, &local.n_cc, &self.global.n_cc);
-            merge_delta(&mut next.n0_cc, &local.n0_cc, &self.global.n0_cc);
-            metrics.observe_since("parallel.merge_seconds", t_merge);
-            kernel_counters.merge(counters);
-        }
-        self.global = next;
-        if metrics.is_enabled() {
-            self.publish_shard_draw_counters(&metrics);
-            kernel_counters.flush_into(&metrics, self.config.kernel);
-        }
-        debug_assert!(self.global.check_consistency(&self.posts).is_ok());
-        self.sharded_work(self.clone_sync_bytes, Vec::new())
     }
 
     /// The delta-sync superstep: persistent replicas sample in place,
@@ -791,9 +595,11 @@ impl ParallelGibbs {
                     scope.spawn(move || {
                         // Gather phase: the replica's counters already
                         // equal the barrier state, so there is nothing to
-                        // copy — only the kernel caches are rebuilt
-                        // (per superstep, like the clone baseline, which
-                        // is what keeps the two paths bit-identical).
+                        // copy — only the kernel caches are rebuilt, per
+                        // superstep (the AliasMh proposals are
+                        // re-snapshotted against the stale counters,
+                        // matching the sequential sampler's per-sweep
+                        // refresh).
                         let t_gather = metrics.start();
                         let mut rng = factory.stream((sweep as u64) << 16 | s as u64);
                         let mut scratch = Scratch::for_config(config);
@@ -880,7 +686,8 @@ impl ParallelGibbs {
         // Barrier, step 1: apply each shard's delta to the authoritative
         // state in ascending shard order. The order is fixed (and cell
         // updates are exact integer addition), so the result is
-        // deterministic and equal to the clone baseline's merge.
+        // deterministic: the barrier state is the previous one plus every
+        // shard's changes.
         let t_merge = metrics.start();
         let mut kernel_counters = KernelCounters::default();
         let mut shard_sync_bytes = Vec::with_capacity(self.shards);
@@ -939,7 +746,7 @@ impl ParallelGibbs {
         self.sharded_work(total, shard_sync_bytes)
     }
 
-    /// Per-shard draw counters, shared by both sharded strategies.
+    /// Per-shard draw counters of a sharded superstep.
     fn publish_shard_draw_counters(&self, metrics: &cold_core::Metrics) {
         for s in 0..self.shards {
             metrics.counter_add(
@@ -998,30 +805,6 @@ fn annealed_rho(config: &ColdConfig, sweep: usize) -> f64 {
     }
     let progress = sweep as f64 / config.anneal_sweeps as f64;
     rho * (config.anneal_boost + (1.0 - config.anneal_boost) * progress)
-}
-
-/// `into += local - base`, element-wise, with wrap-free arithmetic.
-fn merge_delta(into: &mut CounterStore, local: &CounterStore, base: &CounterStore) {
-    debug_assert_eq!(into.len(), local.len());
-    debug_assert_eq!(into.len(), base.len());
-    if let (CounterStore::Dense(dst), CounterStore::Dense(l), CounterStore::Dense(b)) =
-        (&mut *into, local, base)
-    {
-        // All-dense fast path: one linear fused pass.
-        for ((dst, &l), &b) in dst.iter_mut().zip(l).zip(b) {
-            // Deltas can be negative; do the arithmetic in i64.
-            let v = *dst as i64 + l as i64 - b as i64;
-            debug_assert!(v >= 0, "counter went negative during delta merge");
-            *dst = v as u32;
-        }
-        return;
-    }
-    for i in 0..into.len() {
-        let d = i64::from(local.get(i)) - i64::from(base.get(i));
-        if d != 0 {
-            into.add_i64(i, d);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1106,34 +889,6 @@ mod tests {
         assert!(model.topic_words(1 - k_fb)[film] > model.topic_words(k_fb)[film]);
     }
 
-    /// The delta barrier and the clone-merge baseline must walk the exact
-    /// same trajectory: same partition, same RNG streams, same draws.
-    #[test]
-    fn delta_strategy_is_bit_identical_to_clone_merge() {
-        let (corpus, graph) = data();
-        let mut delta = ParallelGibbs::with_strategy(
-            &corpus,
-            &graph,
-            config(&corpus, &graph),
-            3,
-            21,
-            SyncStrategy::Delta,
-        );
-        let mut clone = ParallelGibbs::with_strategy(
-            &corpus,
-            &graph,
-            config(&corpus, &graph),
-            3,
-            21,
-            SyncStrategy::CloneMerge,
-        );
-        for sweep in 0..6 {
-            delta.superstep(sweep);
-            clone.superstep(sweep);
-            assert_eq!(delta.state(), clone.state(), "diverged at sweep {sweep}");
-        }
-    }
-
     /// Delta-mode sync accounting is honest: per-shard bytes are reported,
     /// they sum to the superstep total, and each is the serialized size of
     /// an actual wire message (non-zero while the chain is still moving).
@@ -1148,19 +903,6 @@ mod tests {
         for (s, &bytes) in work.shard_sync_bytes.iter().enumerate() {
             assert!(bytes > 0, "shard {s} reported an empty delta at sweep 0");
         }
-        // The clone baseline reports the static counter-block estimate and
-        // measures no per-shard wire size.
-        let mut clone = ParallelGibbs::with_strategy(
-            &corpus,
-            &graph,
-            config(&corpus, &graph),
-            4,
-            10,
-            SyncStrategy::CloneMerge,
-        );
-        let work = clone.superstep(0);
-        assert!(work.shard_sync_bytes.is_empty());
-        assert!(work.sync_bytes > 0);
     }
 
     #[test]

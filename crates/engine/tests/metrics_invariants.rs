@@ -168,7 +168,7 @@ fn wall_seconds_is_populated_and_consistent() {
 }
 
 /// The shards=1 degenerate path reports its work under shard 0 and keeps
-/// the same global invariants.
+/// the same global invariants. It has no barrier, so it ships no bytes.
 #[test]
 fn single_shard_metrics_cover_the_whole_corpus() {
     let (corpus, graph) = data();
@@ -184,6 +184,12 @@ fn single_shard_metrics_cover_the_whole_corpus() {
     );
     assert_eq!(snap.counter("parallel.supersteps"), iterations);
     assert_eq!(snap.gauge("parallel.shards"), Some(1.0));
+    assert_eq!(snap.counter("parallel.sync_bytes"), 0);
+    assert_eq!(stats.supersteps.len() as u64, iterations);
+    for work in &stats.supersteps {
+        assert_eq!(work.sync_bytes, 0, "{work:?}");
+        assert!(work.shard_sync_bytes.is_empty(), "{work:?}");
+    }
     // The exact kernel draws one community and one topic per post draw.
     assert_eq!(
         snap.counter("kernel.cached_log.comm_draws"),

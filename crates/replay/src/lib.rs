@@ -303,7 +303,7 @@ impl ReplayModel {
         let sweep = req_uint(ev, "sweep")?;
         let shards = req_uint(ev, "shards")?;
         let sync = req_str(ev, "sync")?.to_owned();
-        if !matches!(sync.as_str(), "seq" | "clone" | "delta") {
+        if !matches!(sync.as_str(), "seq" | "delta") {
             return Err(violation(
                 ev,
                 ViolationKind::Malformed,

@@ -285,6 +285,22 @@ pub struct Server {
     threads: Vec<JoinHandle<()>>,
 }
 
+/// Accept-queue length asked of the kernel, which caps it at
+/// `net.core.somaxconn`. `TcpListener::bind` asks for 128: a burst of more
+/// new connections than that overflows the queue, and each dropped SYN is
+/// resent only after the client's 1 s retransmit timeout.
+#[cfg(target_os = "linux")]
+const LISTEN_BACKLOG: i32 = 4096;
+
+/// Bind `addr` and widen the listener's accept queue to [`LISTEN_BACKLOG`].
+#[cfg(target_os = "linux")]
+fn bind_listener(addr: &str) -> std::io::Result<std::net::TcpListener> {
+    use std::os::unix::io::AsRawFd;
+    let listener = std::net::TcpListener::bind(addr)?;
+    crate::sys::set_backlog(listener.as_raw_fd(), LISTEN_BACKLOG)?;
+    Ok(listener)
+}
+
 impl Server {
     /// Bind, spawn the event loops and the reloader, and start serving
     /// `app`. Needs Linux: elsewhere this returns [`ServeError::Io`] with
@@ -307,7 +323,7 @@ impl Server {
                 let context = context.to_owned();
                 move |source| ServeError::Io { context, source }
             };
-            let listener = std::net::TcpListener::bind(&config.addr)
+            let listener = bind_listener(&config.addr)
                 .map_err(io_err(&format!("cannot bind {}", config.addr)))?;
             let addr = listener
                 .local_addr()
@@ -669,6 +685,30 @@ mod tests {
     use cold_core::{ColdConfig, GibbsSampler, ModelFormat};
     use cold_graph::CsrGraph;
     use cold_text::CorpusBuilder;
+
+    /// A burst of 200 connections that nobody accepts yet must all finish
+    /// their handshakes: the accept queue holds more than std's default
+    /// 128 (up to `net.core.somaxconn`, which caps the request).
+    #[test]
+    fn listener_queues_a_burst_beyond_the_default_backlog() {
+        let listener = bind_listener("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let somaxconn = std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .unwrap_or(4096);
+        let want = 200.min(somaxconn + 1);
+        let mut open = Vec::with_capacity(want);
+        for _ in 0..want {
+            // A connect whose SYN was dropped would wait out the 1 s
+            // retransmit; the short timeout turns that into a miss.
+            match TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
+                Ok(stream) => open.push(stream),
+                Err(_) => break,
+            }
+        }
+        assert_eq!(open.len(), want, "connects completed without an accept");
+    }
 
     #[test]
     fn reloader_skips_expired_requests_and_answers_live_ones() {

@@ -2,10 +2,11 @@
 //! declarations, no crates.io, per the workspace shims policy.
 //!
 //! Only what the readiness-driven transport ([`crate::epoll`]) needs:
-//! an epoll instance with add/modify/delete/wait, and an eventfd used as
-//! a cross-thread wakeup (reload completions, shutdown). Everything is
-//! wrapped in RAII types that close their fd on drop; `epoll_wait`
-//! retries `EINTR` so callers never see spurious interrupt errors.
+//! an epoll instance with add/modify/delete/wait, an eventfd used as a
+//! cross-thread wakeup (reload completions, shutdown), and `listen` to
+//! resize the listener's accept queue. The fds are wrapped in RAII types
+//! that close them on drop; `epoll_wait` retries `EINTR` so callers never
+//! see spurious interrupt errors.
 //!
 //! Linux-only by construction (`cfg(target_os = "linux")` at the module
 //! declaration): on other platforms this file is not compiled at all,
@@ -60,9 +61,21 @@ extern "C" {
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
+    fn listen(sockfd: i32, backlog: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
+}
+
+/// Call `listen` again on an already listening socket to change its
+/// accept-queue length. Linux applies the new backlog in place and caps
+/// it at `net.core.somaxconn`.
+pub fn set_backlog(fd: RawFd, backlog: i32) -> io::Result<()> {
+    // SAFETY: plain syscall, no pointers.
+    if unsafe { listen(fd, backlog) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
 }
 
 /// One epoll instance; closed on drop.

@@ -232,9 +232,6 @@ echo "chaos mix survived; corrupt reload rejected; valid reload swapped; dead lo
 echo "== bench_serve --quick =="
 cargo run -q --release -p cold-bench --bin bench_serve -- --quick
 
-echo "== bench_parallel --quick =="
-cargo run -q --release -p cold-bench --bin bench_parallel -- --quick
-
 echo "== bench_memory --quick =="
 cargo run -q --release -p cold-bench --bin bench_memory -- --quick
 

@@ -3,10 +3,15 @@
 //! quality, work metering that matches the data size, and simulated
 //! cluster timing with the Fig. 13 shape.
 
+use cold::core::predict::link_probability;
 use cold::core::{ColdConfig, CounterStorage, Hyperparams, SamplerKernel};
 use cold::data::{generate, SocialDataset, WorldConfig};
-use cold::engine::{ClusterCostModel, ParallelGibbs, SyncStrategy};
-use cold::eval::normalized_mutual_information;
+use cold::engine::{ClusterCostModel, ParallelGibbs};
+use cold::eval::{normalized_mutual_information, ranking_auc};
+use cold::graph::sampling::sample_negative_links;
+use cold::graph::CsrGraph;
+use cold::math::rng::seeded_rng;
+use rand::seq::SliceRandom;
 
 fn world() -> SocialDataset {
     let mut config = WorldConfig::tiny();
@@ -19,6 +24,10 @@ fn world() -> SocialDataset {
 }
 
 fn config(data: &SocialDataset, iterations: usize) -> ColdConfig {
+    config_on(data, &data.graph, iterations)
+}
+
+fn config_on(data: &SocialDataset, graph: &CsrGraph, iterations: usize) -> ColdConfig {
     ColdConfig::builder(3, 3)
         .iterations(iterations)
         .burn_in(iterations - 10)
@@ -32,7 +41,7 @@ fn config(data: &SocialDataset, iterations: usize) -> ColdConfig {
             lambda0: 0.1,
             lambda1: 0.1,
         })
-        .build(&data.corpus, &data.graph)
+        .build(&data.corpus, graph)
 }
 
 #[test]
@@ -68,16 +77,117 @@ fn parallel_sampler_reaches_sequential_quality() {
     );
 }
 
+/// End-of-run quality of one chain: the training log-likelihood of the
+/// final state, held-out link AUC and community NMI against the planted
+/// primary communities.
+#[derive(Debug, Clone, Copy, Default)]
+struct Quality {
+    ll: f64,
+    auc: f64,
+    nmi: f64,
+}
+
+/// Train one chain on `train` and score it. One shard walks the
+/// sequential sampler's trajectory bit for bit
+/// (`single_shard_is_bit_identical_to_sequential`).
+fn chain_quality(
+    data: &SocialDataset,
+    train: &CsrGraph,
+    held_out: &[(u32, u32)],
+    shards: usize,
+    seed: u64,
+) -> Quality {
+    let cfg = config_on(data, train, PARITY_SWEEPS);
+    let mut chain = ParallelGibbs::new(&data.corpus, train, cfg, shards, seed);
+    chain
+        .run_sweeps(PARITY_SWEEPS, None)
+        .expect("no checkpoints");
+    let ll = chain.log_likelihood();
+    let model = chain.finish();
+    let mut rng = seeded_rng(seed ^ 0xa0c);
+    let negatives = sample_negative_links(&mut rng, &data.graph, held_out.len());
+    let scored: Vec<(f64, bool)> = held_out
+        .iter()
+        .map(|&(i, j)| (link_probability(&model, i, j), true))
+        .chain(
+            negatives
+                .iter()
+                .map(|&(i, j)| (link_probability(&model, i, j), false)),
+        )
+        .collect();
+    Quality {
+        ll,
+        auc: ranking_auc(&scored).expect("both classes present"),
+        nmi: normalized_mutual_information(
+            &model.hard_user_communities(),
+            &data.truth.primary_community,
+        )
+        .expect("non-empty"),
+    }
+}
+
+const PARITY_SWEEPS: usize = 120;
+
+/// Tolerances of [`sharded_chains_match_sequential_quality`]: three
+/// standard deviations of the difference of two 3-seed means. Over seeds
+/// 41–50 at 120 sweeps, the per-seed spread pooled across the sequential
+/// chain and shards {2, 4, 8} is 42 nats of training LL (of ≈ 25 000),
+/// 0.033 link AUC and 0.13 NMI.
+const LL_TOL: f64 = 0.004; // relative
+const AUC_TOL: f64 = 0.08;
+const NMI_TOL: f64 = 0.32;
+
+/// Sharded stale-count chains reach the quality of the sequential chain:
+/// §4.3's convergence monitor (the final training log-likelihood) and the
+/// two downstream scores. At shards {2, 4, 8}, each metric averaged over
+/// three seeds must sit within its tolerance of the sequential average.
+/// A sharded path whose last shard never resamples its posts fails the
+/// LL bound at 4 and 8 shards (and everything at 2), while a single
+/// 4-shard run still clears the "NMI > 0.3" bar this test replaces.
 #[test]
-fn parallel_sampler_recovers_communities() {
+fn sharded_chains_match_sequential_quality() {
     let data = world();
-    let (model, _) = ParallelGibbs::new(&data.corpus, &data.graph, config(&data, 150), 4, 13).run();
-    let nmi = normalized_mutual_information(
-        &model.hard_user_communities(),
-        &data.truth.primary_community,
-    )
-    .expect("non-empty");
-    assert!(nmi > 0.3, "parallel community NMI {nmi}");
+    let mut edges: Vec<(u32, u32)> = data.graph.edges().collect();
+    edges.shuffle(&mut seeded_rng(5));
+    let held_out = edges[..edges.len() / 5].to_vec();
+    let train = CsrGraph::from_edges(data.graph.num_nodes(), &edges[edges.len() / 5..]);
+    let seeds = [41u64, 42, 43];
+    let mean = |shards: usize| -> Quality {
+        let mut sum = Quality::default();
+        for &seed in &seeds {
+            let q = chain_quality(&data, &train, &held_out, shards, seed);
+            println!("{shards} shards, seed {seed}: {q:?}");
+            sum.ll += q.ll / seeds.len() as f64;
+            sum.auc += q.auc / seeds.len() as f64;
+            sum.nmi += q.nmi / seeds.len() as f64;
+        }
+        sum
+    };
+    let seq = mean(1);
+    println!("sequential mean: {seq:?}");
+    for shards in [2usize, 4, 8] {
+        let par = mean(shards);
+        println!("{shards} shards mean: {par:?}");
+        let ll_gap = (par.ll - seq.ll).abs() / seq.ll.abs();
+        assert!(
+            ll_gap < LL_TOL,
+            "{shards} shards: training LL {} vs sequential {} (relative gap {ll_gap:.4})",
+            par.ll,
+            seq.ll
+        );
+        assert!(
+            (par.auc - seq.auc).abs() < AUC_TOL,
+            "{shards} shards: link AUC {} vs sequential {}",
+            par.auc,
+            seq.auc
+        );
+        assert!(
+            (par.nmi - seq.nmi).abs() < NMI_TOL,
+            "{shards} shards: NMI {} vs sequential {}",
+            par.nmi,
+            seq.nmi
+        );
+    }
 }
 
 #[test]
@@ -131,62 +241,68 @@ fn single_shard_is_bit_identical_to_sequential() {
     }
 }
 
-/// The sparse delta barrier must walk the exact trajectory of the
-/// clone-everything baseline it replaced: same partition, same
-/// per-(superstep, shard) RNG streams, same counters fed to every draw —
-/// at every shard count and under every sampler kernel. This is the
-/// engine-level guarantee that switching the default `SyncStrategy` to
-/// `Delta` changed memory traffic only, never the model.
+/// On a wide-vocabulary world, where the K × V word counts dominate the
+/// counter block, delta sync ships at least 5× less per barrier than the
+/// dense global-counter block (`n_ck, n_c, n_ckt, n_kv, n_k, n_cc` as u32
+/// cells) once the chain has burned in. The claim depends on the world:
+/// on a narrow vocabulary the block is small and a barrier's deltas can
+/// outweigh it. Print both numbers with
+/// `cargo test -p cold --test engine_equivalence delta_sync_ships -- --nocapture`.
 #[test]
-fn delta_sync_is_bit_identical_to_clone_merge() {
-    let data = world();
-    for shards in [2usize, 4] {
-        for kernel in [
-            SamplerKernel::Exact,
-            SamplerKernel::CachedLog,
-            SamplerKernel::AliasMh,
-        ] {
-            let mk = || {
-                let base = config(&data, 20);
-                ColdConfig { kernel, ..base }
-            };
-            let mut delta = ParallelGibbs::with_strategy(
-                &data.corpus,
-                &data.graph,
-                mk(),
-                shards,
-                31,
-                SyncStrategy::Delta,
-            );
-            let mut clone = ParallelGibbs::with_strategy(
-                &data.corpus,
-                &data.graph,
-                mk(),
-                shards,
-                31,
-                SyncStrategy::CloneMerge,
-            );
-            for sweep in 0..6 {
-                let dw = delta.superstep(sweep);
-                let cw = clone.superstep(sweep);
-                let (a, b) = (delta.state(), clone.state());
-                assert_eq!(a.post_comm, b.post_comm, "{kernel:?}/{shards} s{sweep}");
-                assert_eq!(a.post_topic, b.post_topic, "{kernel:?}/{shards} s{sweep}");
-                assert_eq!(a.link_src_comm, b.link_src_comm, "{kernel:?}/{shards}");
-                assert_eq!(a.link_dst_comm, b.link_dst_comm, "{kernel:?}/{shards}");
-                assert_eq!(a.neg_src_comm, b.neg_src_comm, "{kernel:?}/{shards}");
-                assert_eq!(a.neg_dst_comm, b.neg_dst_comm, "{kernel:?}/{shards}");
-                assert_eq!(a.n_kv, b.n_kv, "{kernel:?}/{shards} s{sweep}");
-                assert_eq!(a.n_ckt, b.n_ckt, "{kernel:?}/{shards} s{sweep}");
-                assert_eq!(a.n_cc, b.n_cc, "{kernel:?}/{shards} s{sweep}");
-                // Same trajectory, radically different wire footprint: the
-                // delta path measures per-shard bytes, the baseline ships
-                // the whole counter block.
-                assert_eq!(dw.shard_sync_bytes.len(), shards);
-                assert!(cw.shard_sync_bytes.is_empty());
-            }
-        }
+fn delta_sync_ships_less_than_the_counter_block() {
+    let world = WorldConfig {
+        num_users: 120,
+        num_communities: 6,
+        num_topics: 16,
+        num_time_slices: 24,
+        vocab_size: 12000,
+        posts_per_user: 12.0,
+        words_per_post: 10.0,
+        ..WorldConfig::default()
+    };
+    let data = generate(&world, 9201);
+    let cfg = ColdConfig::builder(6, 16)
+        .iterations(1_000)
+        .explicit_negatives(3.0)
+        .kernel(SamplerKernel::CachedLog)
+        .hyperparams(Hyperparams {
+            alpha: 1.0,
+            beta: 0.01,
+            epsilon: 0.01,
+            rho: 1.0,
+            lambda0: 0.1,
+            lambda1: 0.1,
+        })
+        .build(&data.corpus, &data.graph);
+    let mut pg = ParallelGibbs::new(&data.corpus, &data.graph, cfg, 4, 9202);
+    let st = pg.state();
+    let block = 4
+        * (st.n_ck.len()
+            + st.n_c.len()
+            + st.n_ckt.len()
+            + st.n_kv.len()
+            + st.n_k.len()
+            + st.n_cc.len()) as u64;
+    const BURN_IN: usize = 30;
+    const MEASURED: usize = 5;
+    for sweep in 0..BURN_IN {
+        pg.superstep(sweep);
     }
+    let shipped: u64 = (BURN_IN..BURN_IN + MEASURED)
+        .map(|sweep| pg.superstep(sweep).sync_bytes)
+        .sum();
+    let mean = shipped as f64 / MEASURED as f64;
+    println!(
+        "{} posts, vocab {}: counter block {block} B, delta sync {mean:.0} B per superstep \
+         after {BURN_IN} sweeps at 4 shards ({:.1}x less)",
+        data.corpus.num_posts(),
+        data.corpus.vocab_size(),
+        block as f64 / mean
+    );
+    assert!(
+        mean * 5.0 < block as f64,
+        "delta sync {mean:.0} B per superstep vs counter block {block} B"
+    );
 }
 
 /// A sharded run on sparse counters walks the exact trajectory of the

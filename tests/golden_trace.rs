@@ -4,14 +4,23 @@
 //! fixture. Any change to RNG consumption order, conditional arithmetic,
 //! or cache behaviour shows up here as a bit-level diff.
 //!
+//! The sharded engine is pinned the same way: at shards {2, 4} under
+//! every kernel, the per-superstep log-likelihood of the authoritative
+//! barrier state plus the fitted model's top words and hard communities
+//! (`golden_sharded<N>_<kernel>.json`). Any change to which stale counts
+//! a shard reads, to the barrier's apply order or to the per-(superstep,
+//! shard) RNG streams shows up in them.
+//!
 //! To refresh the fixtures after an *intentional* trajectory change run
 //! `scripts/regen_golden.sh` (sets `REGEN_GOLDEN=1`) and review the
 //! resulting diff like any other code change.
 
 use cold::core::{
-    Checkpoint, Checkpointer, ColdConfig, CounterStorage, GibbsSampler, Hyperparams, SamplerKernel,
+    Checkpoint, Checkpointer, ColdConfig, ColdModel, CounterStorage, GibbsSampler, Hyperparams,
+    SamplerKernel,
 };
 use cold::data::{generate, SocialDataset, WorldConfig};
+use cold::engine::ParallelGibbs;
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -68,6 +77,17 @@ fn trace_kernel_with_storage(
         ..base
     };
     let (model, trace) = GibbsSampler::new(&data.corpus, &data.graph, cfg, SEED).run_traced();
+    golden(kernel, &data, &model, &trace.log_likelihood)
+}
+
+/// Assemble a trace record from a finished run's model and its
+/// `(sweep, log-likelihood)` monitor points.
+fn golden(
+    kernel: SamplerKernel,
+    data: &SocialDataset,
+    model: &ColdModel,
+    ll: &[(usize, f64)],
+) -> GoldenTrace {
     let top_words = (0..3)
         .map(|k| {
             model
@@ -81,16 +101,8 @@ fn trace_kernel_with_storage(
     GoldenTrace {
         kernel: kernel.name().to_owned(),
         seed: SEED,
-        ll_sweeps: trace
-            .log_likelihood
-            .iter()
-            .map(|&(s, _)| s as u64)
-            .collect(),
-        ll_values: trace
-            .log_likelihood
-            .iter()
-            .map(|&(_, ll)| format!("{ll:.17e}"))
-            .collect(),
+        ll_sweeps: ll.iter().map(|&(s, _)| s as u64).collect(),
+        ll_values: ll.iter().map(|&(_, ll)| format!("{ll:.17e}")).collect(),
         top_words,
         hard_communities: model.hard_user_communities(),
     }
@@ -125,15 +137,20 @@ fn check_kernel_sparse(kernel: SamplerKernel) {
 }
 
 fn check_kernel(kernel: SamplerKernel) {
-    let path = fixture_path(kernel);
-    let actual = trace_kernel(kernel);
+    check_fixture(&fixture_path(kernel), kernel.name(), &trace_kernel(kernel));
+}
+
+/// Compare `actual` with the fixture at `path`, field by field so the
+/// first drifting sweep is named — or, under `REGEN_GOLDEN`, rewrite the
+/// fixture from `actual`.
+fn check_fixture(path: &std::path::Path, label: &str, actual: &GoldenTrace) {
     if std::env::var_os("REGEN_GOLDEN").is_some() {
-        let json = serde_json::to_string_pretty(&actual).expect("serialize trace");
-        std::fs::write(&path, json + "\n").expect("write fixture");
+        let json = serde_json::to_string_pretty(actual).expect("serialize trace");
+        std::fs::write(path, json + "\n").expect("write fixture");
         println!("regenerated {}", path.display());
         return;
     }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!(
             "missing golden fixture {} ({e}); run scripts/regen_golden.sh",
             path.display()
@@ -141,34 +158,60 @@ fn check_kernel(kernel: SamplerKernel) {
     });
     let expected: GoldenTrace = serde_json::from_str(&text).expect("parse fixture");
     assert_eq!(
-        expected.ll_sweeps,
-        actual.ll_sweeps,
-        "{}: ll checkpoint sweeps drifted",
-        kernel.name()
+        expected.ll_sweeps, actual.ll_sweeps,
+        "{label}: ll checkpoint sweeps drifted"
     );
     for (i, (e, a)) in expected.ll_values.iter().zip(&actual.ll_values).enumerate() {
         assert_eq!(
-            e,
-            a,
-            "{}: log-likelihood at sweep {} drifted (intentional? run \
+            e, a,
+            "{label}: log-likelihood at sweep {} drifted (intentional? run \
              scripts/regen_golden.sh and commit the diff)",
-            kernel.name(),
             expected.ll_sweeps[i]
         );
     }
     assert_eq!(
-        expected.top_words,
-        actual.top_words,
-        "{}: top words drifted",
-        kernel.name()
+        expected.top_words, actual.top_words,
+        "{label}: top words drifted"
     );
     assert_eq!(
-        expected.hard_communities,
-        actual.hard_communities,
-        "{}: hard community assignments drifted",
-        kernel.name()
+        expected.hard_communities, actual.hard_communities,
+        "{label}: hard community assignments drifted"
     );
-    assert_eq!(expected, actual, "{}: trace drifted", kernel.name());
+    assert_eq!(&expected, actual, "{label}: trace drifted");
+}
+
+/// Train the golden config on the sharded engine, evaluating the
+/// authoritative state's log-likelihood at every superstep barrier.
+fn trace_sharded(kernel: SamplerKernel, shards: usize) -> GoldenTrace {
+    let data = world();
+    let cfg = ColdConfig {
+        kernel,
+        ..config(&data)
+    };
+    let iterations = cfg.iterations;
+    let mut pg = ParallelGibbs::new(&data.corpus, &data.graph, cfg, shards, SEED);
+    let mut ll = Vec::with_capacity(iterations);
+    for sweep in 0..iterations {
+        pg.run_sweeps(sweep + 1, None)
+            .expect("checkpoint-free sweep");
+        ll.push((sweep, pg.log_likelihood()));
+    }
+    golden(kernel, &data, &pg.finish(), &ll)
+}
+
+fn sharded_fixture_path(kernel: SamplerKernel, shards: usize) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures")
+        .join(format!("golden_sharded{shards}_{}.json", kernel.name()))
+}
+
+fn check_sharded(kernel: SamplerKernel, shards: usize) {
+    let label = format!("{} at {shards} shards", kernel.name());
+    check_fixture(
+        &sharded_fixture_path(kernel, shards),
+        &label,
+        &trace_sharded(kernel, shards),
+    );
 }
 
 /// Re-run a kernel's golden trajectory with mid-run checkpointing, then
@@ -212,32 +255,7 @@ fn trace_kernel_resumed(kernel: SamplerKernel, counter_storage: CounterStorage) 
         .expect("finish resumed run");
     let (model, trace) = resumed.finish_traced();
     std::fs::remove_dir_all(&dir).ok();
-    let top_words = (0..3)
-        .map(|k| {
-            model
-                .top_words(k, 8, data.corpus.vocab())
-                .into_iter()
-                .map(|(w, _)| w.to_owned())
-                .collect::<Vec<_>>()
-                .join(" ")
-        })
-        .collect();
-    GoldenTrace {
-        kernel: kernel.name().to_owned(),
-        seed: SEED,
-        ll_sweeps: trace
-            .log_likelihood
-            .iter()
-            .map(|&(s, _)| s as u64)
-            .collect(),
-        ll_values: trace
-            .log_likelihood
-            .iter()
-            .map(|&(_, ll)| format!("{ll:.17e}"))
-            .collect(),
-        top_words,
-        hard_communities: model.hard_user_communities(),
-    }
+    golden(kernel, &data, &model, &trace.log_likelihood)
 }
 
 fn check_kernel_resumed_with_storage(kernel: SamplerKernel, counter_storage: CounterStorage) {
@@ -296,6 +314,36 @@ fn resumed_trace_matches_golden_alias_mh() {
     check_kernel_resumed(SamplerKernel::AliasMh);
 }
 
+#[test]
+fn sharded2_trace_exact() {
+    check_sharded(SamplerKernel::Exact, 2);
+}
+
+#[test]
+fn sharded2_trace_cached_log() {
+    check_sharded(SamplerKernel::CachedLog, 2);
+}
+
+#[test]
+fn sharded2_trace_alias_mh() {
+    check_sharded(SamplerKernel::AliasMh, 2);
+}
+
+#[test]
+fn sharded4_trace_exact() {
+    check_sharded(SamplerKernel::Exact, 4);
+}
+
+#[test]
+fn sharded4_trace_cached_log() {
+    check_sharded(SamplerKernel::CachedLog, 4);
+}
+
+#[test]
+fn sharded4_trace_alias_mh() {
+    check_sharded(SamplerKernel::AliasMh, 4);
+}
+
 /// Sparse-backed runs replay the dense golden fixtures bit for bit: the
 /// counter-storage backend is observationally invisible to the chain.
 #[test]
@@ -322,20 +370,36 @@ fn sparse_resumed_trace_matches_golden_cached_log() {
 }
 
 /// The cached-log kernel is *pure memoization*: its golden trace must be
-/// byte-identical to the exact kernel's (only the `kernel` tag differs).
+/// byte-identical to the exact kernel's (only the `kernel` tag differs),
+/// sequentially and at every pinned shard count.
 #[test]
 fn cached_log_fixture_matches_exact_fixture() {
     if std::env::var_os("REGEN_GOLDEN").is_some() {
         return;
     }
-    let read = |k: SamplerKernel| -> GoldenTrace {
-        let text = std::fs::read_to_string(fixture_path(k))
-            .unwrap_or_else(|e| panic!("missing fixture for {} ({e})", k.name()));
+    let read = |path: std::path::PathBuf| -> GoldenTrace {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing fixture {} ({e})", path.display()));
         serde_json::from_str(&text).expect("parse fixture")
     };
-    let exact = read(SamplerKernel::Exact);
-    let cached = read(SamplerKernel::CachedLog);
-    assert_eq!(exact.ll_values, cached.ll_values);
-    assert_eq!(exact.top_words, cached.top_words);
-    assert_eq!(exact.hard_communities, cached.hard_communities);
+    let pairs = [
+        (
+            fixture_path(SamplerKernel::Exact),
+            fixture_path(SamplerKernel::CachedLog),
+        ),
+        (
+            sharded_fixture_path(SamplerKernel::Exact, 2),
+            sharded_fixture_path(SamplerKernel::CachedLog, 2),
+        ),
+        (
+            sharded_fixture_path(SamplerKernel::Exact, 4),
+            sharded_fixture_path(SamplerKernel::CachedLog, 4),
+        ),
+    ];
+    for (exact, cached) in pairs {
+        let (exact, cached) = (read(exact), read(cached));
+        assert_eq!(exact.ll_values, cached.ll_values);
+        assert_eq!(exact.top_words, cached.top_words);
+        assert_eq!(exact.hard_communities, cached.hard_communities);
+    }
 }

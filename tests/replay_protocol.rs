@@ -8,7 +8,7 @@
 use cold::core::{Checkpointer, ColdConfig, GibbsSampler, Metrics, SamplerKernel};
 use cold::data::{generate, SocialDataset, WorldConfig};
 use cold::engine::ParallelGibbs;
-use cold::obs::trace::{parse_jsonl, to_jsonl, TraceEvent};
+use cold::obs::trace::{parse_jsonl, to_jsonl, TraceEvent, TraceValue};
 use cold_replay::fault::{inject, permute_schedule, FaultClass};
 use cold_replay::{verify, ViolationKind};
 use rand::rngs::SmallRng;
@@ -155,6 +155,20 @@ fn every_fault_class_is_rejected_with_its_planted_violation() {
             .unwrap_or_else(|| panic!("{} survived replay: {detail}", class.name()));
         assert_eq!(err.kind, kind, "{}: {err} ({detail})", class.name());
     }
+}
+
+/// The engine has two superstep modes, `seq` (one shard) and `delta`;
+/// a superstep announcing any other mode, such as `clone`, is malformed.
+#[test]
+fn unknown_sync_mode_is_malformed() {
+    let mut events = record_full_run(SamplerKernel::Exact, "sync_mode");
+    let i = events
+        .iter()
+        .position(|e| e.kind == "superstep_begin")
+        .expect("a recorded superstep");
+    events[i].set("sync", TraceValue::Str("clone".to_owned()));
+    let err = verify(&events).expect_err("a clone superstep replayed clean");
+    assert_eq!(err.kind, ViolationKind::Malformed, "{err}");
 }
 
 #[test]
