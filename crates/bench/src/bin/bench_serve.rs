@@ -18,7 +18,7 @@
 //! so CI smoke runs never clobber the committed headline.
 
 use cold_bench::workloads::{cold_hyper, BASE_SEED};
-use cold_core::{ColdConfig, CounterStorage, GibbsSampler, Metrics, ModelFormat};
+use cold_core::{ColdConfig, CounterStorage, GibbsSampler, Metrics};
 use cold_data::{generate, WorldConfig};
 use cold_math::rng::RngFactory;
 use cold_serve::{App, HttpClient, ServeConfig, Server};
@@ -110,9 +110,7 @@ fn build_artifact(num_users: u32, dir: &std::path::Path) -> (std::path::PathBuf,
     let model = GibbsSampler::new(&data.corpus, &data.graph, fit, BASE_SEED + 9401).run();
     let tiled = model.tile_users(num_users);
     let path = dir.join("serve_model.cold");
-    tiled
-        .save_as(path.to_str().unwrap(), ModelFormat::Binary)
-        .expect("save binary artifact");
+    tiled.save(&path).expect("save artifact");
     println!(
         "trained 240-user model and tiled to {num_users} users in {:.1}s ({:.1} MiB artifact)",
         t.elapsed().as_secs_f64(),

@@ -2,9 +2,7 @@
 
 use crate::args::Args;
 use cold_core::checkpoint::{Checkpoint, CheckpointKind, Checkpointer};
-use cold_core::{
-    ColdConfig, ColdModel, CounterStorage, DiffusionPredictor, GibbsSampler, Metrics, ModelFormat,
-};
+use cold_core::{ColdConfig, ColdModel, CounterStorage, DiffusionPredictor, GibbsSampler, Metrics};
 use cold_data::{SocialDataset, WorldConfig};
 use cold_engine::ParallelGibbs;
 use cold_math::rng::seeded_rng;
@@ -16,20 +14,19 @@ cold — Community Level Diffusion (SIGMOD'15) toolkit
 USAGE:
   cold generate  --out <world.json> [--users N] [--communities C] [--topics K]
                  [--slices T] [--vocab V] [--seed S]
-  cold train     --data <world.json> --out <model.json>
+  cold train     --data <world.json> --out <model.cold>
                  [--communities C] [--topics K] [--iterations N] [--seed S]
                  [--shards N] [--metrics-out <metrics.jsonl>]
                  [--counter-storage auto|dense|sparse]
-                 [--model-format json|binary]
                  [--checkpoint-dir <dir>] [--checkpoint-every N]
                  [--checkpoint-retain N] [--resume true]
                  [--crash-after N] [--trace-out <trace.jsonl>]
-  cold topics    --model <model.json> --data <world.json> [--top N] [--topic K]
-  cold communities --model <model.json> --data <world.json>
-  cold predict   --model <model.json> --data <world.json>
+  cold topics    --model <model.cold> --data <world.json> [--top N] [--topic K]
+  cold communities --model <model.cold> --data <world.json>
+  cold predict   --model <model.cold> --data <world.json>
                  --publisher I --consumer J --post D [--metrics-out <m.jsonl>]
-  cold influence --model <model.json> [--topic K] [--simulations N] [--seed S]
-  cold eval      --model <model.json> --data <world.json> [--seed S]
+  cold influence --model <model.cold> [--topic K] [--simulations N] [--seed S]
+  cold eval      --model <model.cold> --data <world.json> [--seed S]
   cold serve     --model <model.cold> [--addr HOST:PORT | --port P]
                  [--top-comm N] [--rank-depth N]
                  [--data <world.json>] [--max-body BYTES]
@@ -69,7 +66,7 @@ fn load_dataset(path: &str) -> Result<SocialDataset, String> {
 }
 
 fn load_model(path: &str) -> Result<ColdModel, String> {
-    ColdModel::load(path).map_err(|e| e.to_string())
+    ColdModel::load(path).map_err(|e| format!("reading {path}: {e}"))
 }
 
 /// `cold generate` — sample a synthetic world and write it to disk.
@@ -104,9 +101,8 @@ pub fn generate(args: &Args) -> CliResult {
 ///
 /// `--counter-storage` picks the counter backend (`auto` measures occupancy
 /// at build time; `dense`/`sparse` force one for benchmarking) — results are
-/// bit-identical either way. `--model-format binary` writes the zero-copy
-/// `cold-model/v1` artifact instead of JSON; `ColdModel::load` auto-detects
-/// both.
+/// bit-identical either way. The model is written as a `cold-model/v1`
+/// artifact, which every read-side subcommand and `cold serve` open.
 pub fn train(args: &Args) -> CliResult {
     let data = load_dataset(args.required("data")?)?;
     let out = args.required("out")?;
@@ -123,7 +119,6 @@ pub fn train(args: &Args) -> CliResult {
     let resume = args.get_or("resume", false)?;
     let crash_after: Option<usize> = args.get_optional("crash-after")?;
     let counter_storage = args.get_or("counter-storage", CounterStorage::Auto)?;
-    let model_format = args.get_or("model-format", ModelFormat::Json)?;
     let metrics_out = args.optional("metrics-out");
     let trace_out = args.optional("trace-out");
     // Instrumentation is only switched on when a sink was requested; a
@@ -207,10 +202,8 @@ pub fn train(args: &Args) -> CliResult {
         }
     };
     println!("trained in {:.1}s", started.elapsed().as_secs_f64());
-    model
-        .save_as(out, model_format)
-        .map_err(|e| e.to_string())?;
-    println!("model -> {out} ({} format)", model_format.name());
+    model.save(out).map_err(|e| e.to_string())?;
+    println!("model -> {out}");
     if let Some(path) = metrics_out {
         write_metrics(&metrics, path)?;
     }

@@ -2,12 +2,12 @@
 //!
 //! ```text
 //! cold generate --users 300 --communities 6 --topics 6 --out world.json
-//! cold train    --data world.json --communities 6 --topics 6 --out model.json
-//! cold topics   --model model.json --data world.json
-//! cold communities --model model.json --data world.json
-//! cold predict  --model model.json --data world.json --publisher 0 --consumer 1 --post 0
-//! cold influence --model model.json --topic 0
-//! cold eval     --model model.json --data world.json
+//! cold train    --data world.json --communities 6 --topics 6 --out model.cold
+//! cold topics   --model model.cold --data world.json
+//! cold communities --model model.cold --data world.json
+//! cold predict  --model model.cold --data world.json --publisher 0 --consumer 1 --post 0
+//! cold influence --model model.cold --topic 0
+//! cold eval     --model model.cold --data world.json
 //! cold serve    --model model.cold --port 8391
 //! ```
 //!

@@ -68,3 +68,22 @@ fn every_subcommand_refuses_an_unknown_flag() {
         assert_refused(&out, "--no-such-flag");
     }
 }
+
+#[test]
+fn train_refuses_the_retired_model_format_flag() {
+    // `cold-model/v1` is the only model format, so there is nothing to
+    // pick. Refused before the world is read, so no data is needed.
+    for format in ["json", "binary"] {
+        let out = cold(&[
+            "train",
+            "--data",
+            "absent.json",
+            "--out",
+            "m.cold",
+            "--model-format",
+            format,
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{format}: {out:?}");
+        assert_refused(&out, "--model-format");
+    }
+}

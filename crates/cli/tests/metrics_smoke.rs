@@ -19,7 +19,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 fn train_emits_valid_metrics_jsonl() {
     let dir = tmp_dir("train");
     let world = dir.join("world.json");
-    let model = dir.join("model.json");
+    let model = dir.join("model.cold");
     let metrics = dir.join("metrics.jsonl");
 
     let gen = bin()
@@ -70,7 +70,7 @@ fn train_emits_valid_metrics_jsonl() {
 fn sharded_train_emits_per_shard_counters() {
     let dir = tmp_dir("shards");
     let world = dir.join("world.json");
-    let model = dir.join("model.json");
+    let model = dir.join("model.cold");
     let metrics = dir.join("metrics.jsonl");
 
     let gen = bin()

@@ -33,7 +33,7 @@ fn model(tag: &str) -> (PathBuf, PathBuf) {
         .arg("--out")
         .arg(&model)
         .args(["--communities", "2", "--topics", "2", "--iterations", "10"])
-        .args(["--seed", "5", "--model-format", "binary"])
+        .args(["--seed", "5"])
         .output()
         .expect("run train");
     assert!(train.status.success(), "train failed: {train:?}");

@@ -112,7 +112,7 @@ impl<M: ModelRead + ?Sized> ModelRead for std::sync::Arc<M> {
 
 /// A fitted COLD model: averaged posterior point estimates of
 /// `π, θ, η, φ, ψ` (Table 1), all row-major flat matrices.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ColdModel {
     pub(crate) dims: Dims,
     /// `π`, `U×C`.

@@ -90,4 +90,4 @@ pub use persist::{ModelFormat, PersistError};
 pub use predict::{DiffusionPredictor, PredictError};
 pub use sampler::GibbsSampler;
 pub use storage::{CounterStorage, CounterStore};
-pub use view::{MappedModel, ModelView};
+pub use view::ModelView;

@@ -2,28 +2,25 @@
 //!
 //! A fitted [`ColdModel`] is a set of dense probability tables; training it
 //! on real data can take hours (the paper's Fig. 14), so the model must
-//! outlive the process. Two on-disk formats share one `load` entry point:
+//! outlive the process. It has one on-disk format, the **`cold-model/v1`**
+//! artifact that serving opens in milliseconds: a fixed 64-byte header
+//! (magic `COLDMDL1`, version, the six dimensions as little-endian `u64`s),
+//! the five probability tables as back-to-back little-endian `f64`
+//! sections in declaration order (`π, θ, η, φ, ψ` — every section starts
+//! 8-byte aligned, so the zero-copy [`crate::view::ModelView`] reads the
+//! file in place), and an FNV-1a64 checksum footer over everything before
+//! it (computed over little-endian 64-bit words — see [`fnv1a64_words`]),
+//! following the `cold-ckpt/v1` durability conventions. Loading is one
+//! read plus `f64::from_le_bytes` per cell — no parsing, bit-exact.
 //!
-//! * **JSON** — transparent and diffable; the tables are f64 so
-//!   round-trips are bit-exact. The historical default.
-//! * **`cold-model/v1` binary** ([`ModelFormat::Binary`]) — the zero-copy
-//!   artifact serving paths open in milliseconds: a fixed 64-byte header
-//!   (magic `COLDMDL1`, version, the six dimensions as little-endian
-//!   `u64`s), the five probability tables as back-to-back little-endian
-//!   `f64` sections in declaration order (`π, θ, η, φ, ψ` — every section
-//!   starts 8-byte aligned, so an mmap of the file can be read in place),
-//!   and an FNV-1a64 checksum footer over everything before it (computed
-//!   over little-endian 64-bit words — see [`fnv1a64_words`]), following
-//!   the `cold-ckpt/v1` durability conventions. Loading is one read plus
-//!   `f64::from_le_bytes` per cell — no parsing, bit-exact.
-//!
-//! [`ColdModel::load`] sniffs the magic, so callers never name the format
-//! on the read side.
+//! The checksum catches torn and corrupted files, not crafted ones, so
+//! [`verify_artifact`] treats the header dimensions as untrusted: every
+//! section length is computed with checked arithmetic and must add up to
+//! the bytes actually present.
 
 use crate::checkpoint::atomic_write;
 use crate::estimates::ColdModel;
 use crate::params::Dims;
-use std::io::Read;
 use std::path::Path;
 
 /// Errors from model persistence.
@@ -59,39 +56,13 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// On-disk encoding of a [`ColdModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// On-disk encoding of a [`ColdModel`]: `cold-model/v1` is the only one.
+/// This enum exists only because the repository benchmark still names it
+/// in [`ColdModel::save_as`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelFormat {
-    /// Human-readable JSON (the historical default).
-    #[default]
-    Json,
-    /// The `cold-model/v1` zero-copy binary artifact.
+    /// The `cold-model/v1` artifact.
     Binary,
-}
-
-impl ModelFormat {
-    /// Stable lowercase name, matching what [`FromStr`](std::str::FromStr)
-    /// accepts.
-    pub fn name(self) -> &'static str {
-        match self {
-            ModelFormat::Json => "json",
-            ModelFormat::Binary => "binary",
-        }
-    }
-}
-
-impl std::str::FromStr for ModelFormat {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "json" => Ok(ModelFormat::Json),
-            "binary" => Ok(ModelFormat::Binary),
-            other => Err(format!(
-                "unknown model format `{other}` (expected json|binary)"
-            )),
-        }
-    }
 }
 
 /// 8-byte magic opening every `cold-model/v1` artifact.
@@ -133,7 +104,7 @@ pub(crate) const MODEL_HEADER_LEN: usize = 8 + 4 + 4 + 6 * 8;
 ///
 /// Produced only by [`verify_artifact`], so holding one means the bytes
 /// passed magic, version, checksum and section-length validation — the
-/// zero-copy [`crate::view::MappedModel`] relies on that to hand out
+/// zero-copy [`crate::view::ModelView`] relies on that to hand out
 /// slices without per-read checks.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ArtifactLayout {
@@ -152,13 +123,16 @@ impl ArtifactLayout {
     }
 }
 
-/// Validate a `cold-model/v1` byte string end to end — truncation, magic,
-/// version, checksum footer, then header-implied section lengths — and
-/// return the layout. Shared by the parsing loader
+/// Validate a `cold-model/v1` byte string end to end — magic, truncation,
+/// version, checksum footer, then header dims and the section lengths
+/// they imply — and return the layout. Shared by the parsing loader
 /// ([`ColdModel::from_binary`]) and the zero-copy view, so the two paths
 /// can never drift in what they accept.
 pub(crate) fn verify_artifact(bytes: &[u8]) -> Result<ArtifactLayout, PersistError> {
     let bad = |msg: String| PersistError::Format(msg);
+    if !bytes.starts_with(&MODEL_MAGIC) {
+        return Err(bad("bad magic: not a cold-model/v1 artifact".into()));
+    }
     if bytes.len() < MODEL_HEADER_LEN + 8 {
         return Err(bad(format!(
             "cold-model/v1 artifact truncated: {} bytes is below the \
@@ -166,9 +140,6 @@ pub(crate) fn verify_artifact(bytes: &[u8]) -> Result<ArtifactLayout, PersistErr
             bytes.len(),
             MODEL_HEADER_LEN + 8
         )));
-    }
-    if bytes[..8] != MODEL_MAGIC {
-        return Err(bad("bad magic: not a cold-model/v1 artifact".into()));
     }
     let u32_at =
         |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4-byte slice"));
@@ -189,28 +160,52 @@ pub(crate) fn verify_artifact(bytes: &[u8]) -> Result<ArtifactLayout, PersistErr
             "checksum mismatch: footer says {expected:#018x}, body hashes to {actual:#018x}"
         )));
     }
-    let dim = |i: usize| u64_at(16 + 8 * i) as usize;
-    let (u, c, k, t, v) = (dim(0), dim(1), dim(2), dim(3), dim(4));
-    let samples = dim(5);
-    if u > u32::MAX as usize {
-        return Err(bad(format!("user count {u} exceeds the u32 id space")));
-    }
-    let dims = Dims {
-        num_users: u as u32,
-        num_communities: c,
-        num_topics: k,
-        num_time_slices: t,
-        vocab_size: v,
-    };
-    let section_lens = [u * c, c * k, c * c, k * v, c * k * t];
-    let payload = section_lens.iter().sum::<usize>() * 8;
-    if body.len() != MODEL_HEADER_LEN + payload {
+    let [u, c, k, t, v] = [0, 1, 2, 3, 4].map(|i| u64_at(16 + 8 * i));
+    let samples = u64_at(56) as usize;
+    if [u, c, k, t, v].contains(&0) {
         return Err(bad(format!(
-            "section length mismatch: dims imply {} payload bytes, file carries {}",
-            payload,
-            body.len() - MODEL_HEADER_LEN
+            "zero dimension in header: U={u} C={c} K={k} T={t} V={v}"
         )));
     }
+    if u > u64::from(u32::MAX) {
+        return Err(bad(format!("user count {u} exceeds the u32 id space")));
+    }
+    // Checked: a product or sum past u64 is a crafted header, and a
+    // wrapped one could land on the real length.
+    let layout = (|| {
+        let ck = c.checked_mul(k)?;
+        let lens = [
+            u.checked_mul(c)?,
+            ck,
+            c.checked_mul(c)?,
+            k.checked_mul(v)?,
+            ck.checked_mul(t)?,
+        ];
+        let cells = lens
+            .iter()
+            .try_fold(0u64, |sum, &len| sum.checked_add(len))?;
+        Some((lens, cells.checked_mul(8)?))
+    })();
+    let Some((lens, payload)) = layout else {
+        return Err(bad(format!(
+            "header dims U={u} C={c} K={k} T={t} V={v} overflow a 64-bit payload length"
+        )));
+    };
+    let carried = (body.len() - MODEL_HEADER_LEN) as u64;
+    if payload != carried {
+        return Err(bad(format!(
+            "section length mismatch: dims imply {payload} payload bytes, file carries {carried}"
+        )));
+    }
+    // Every section fits in the bytes present, so each narrows losslessly.
+    let dims = Dims {
+        num_users: u as u32,
+        num_communities: c as usize,
+        num_topics: k as usize,
+        num_time_slices: t as usize,
+        vocab_size: v as usize,
+    };
+    let section_lens = lens.map(|len| len as usize);
     Ok(ArtifactLayout {
         dims,
         samples,
@@ -219,16 +214,6 @@ pub(crate) fn verify_artifact(bytes: &[u8]) -> Result<ArtifactLayout, PersistErr
 }
 
 impl ColdModel {
-    /// Serialize to a JSON string.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("ColdModel serialization cannot fail")
-    }
-
-    /// Deserialize from a JSON string.
-    pub fn from_json(json: &str) -> Result<Self, PersistError> {
-        serde_json::from_str(json).map_err(|e| PersistError::Format(e.to_string()))
-    }
-
     /// The five probability tables in artifact section order.
     fn sections(&self) -> [&Vec<f64>; 5] {
         [&self.pi, &self.theta, &self.eta, &self.phi, &self.psi]
@@ -287,37 +272,29 @@ impl ColdModel {
         })
     }
 
-    /// Write the model to `path` (JSON), atomically: the bytes land in a
-    /// temp file which is fsynced and renamed over the destination (the
-    /// `cold-ckpt` durability protocol), so a crash mid-save can never
-    /// leave a torn model file where a good one used to be.
+    /// Write the model to `path` as a `cold-model/v1` artifact,
+    /// atomically: the bytes land in a temp file which is fsynced and
+    /// renamed over the destination (the `cold-ckpt` durability protocol),
+    /// so a crash mid-save can never leave a torn model file where a good
+    /// one used to be.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        self.save_as(path, ModelFormat::Json)
-    }
-
-    /// Write the model to `path` in the chosen format, with the same
-    /// atomic-rename durability as [`save`](Self::save).
-    pub fn save_as(&self, path: impl AsRef<Path>, format: ModelFormat) -> Result<(), PersistError> {
-        let bytes = match format {
-            ModelFormat::Json => self.to_json().into_bytes(),
-            ModelFormat::Binary => self.to_binary(),
-        };
-        atomic_write(path, &bytes)?;
+        atomic_write(path, &self.to_binary())?;
         Ok(())
     }
 
-    /// Read a model back from `path`, auto-detecting the format: files
-    /// opening with the `COLDMDL1` magic parse as `cold-model/v1`,
-    /// anything else as JSON.
+    /// [`save`](Self::save) under the name the repository benchmark still
+    /// calls; it exists only for the benchmark.
+    pub fn save_as(
+        &self,
+        path: impl AsRef<Path>,
+        _format: ModelFormat,
+    ) -> Result<(), PersistError> {
+        self.save(path)
+    }
+
+    /// Read a `cold-model/v1` artifact back from `path`.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        let mut data = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut data)?;
-        if data.len() >= MODEL_MAGIC.len() && data[..MODEL_MAGIC.len()] == MODEL_MAGIC {
-            return Self::from_binary(&data);
-        }
-        let text = String::from_utf8(data)
-            .map_err(|_| PersistError::Format("neither cold-model/v1 nor UTF-8 JSON".into()))?;
-        Self::from_json(&text)
+        Self::from_binary(&std::fs::read(path)?)
     }
 }
 
@@ -342,34 +319,12 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_bit_exact() {
-        let model = fitted();
-        let back = ColdModel::from_json(&model.to_json()).unwrap();
-        assert_eq!(back.dims(), model.dims());
-        assert_eq!(back.num_samples(), model.num_samples());
-        for i in 0..2 {
-            assert_eq!(back.user_memberships(i), model.user_memberships(i));
-        }
-        for k in 0..2 {
-            assert_eq!(back.topic_words(k), model.topic_words(k));
-            for c in 0..2 {
-                assert_eq!(back.temporal(k, c), model.temporal(k, c));
-            }
-        }
-        for c in 0..2 {
-            for c2 in 0..2 {
-                assert_eq!(back.eta(c, c2), model.eta(c, c2));
-            }
-        }
-    }
-
-    #[test]
     fn file_round_trip() {
         let model = fitted();
         // Unique per-process path: a fixed name races when multiple test
         // processes (e.g. `cargo test` across crates) run concurrently.
         let path = std::env::temp_dir().join(format!(
-            "cold_model_persist_test_{}.json",
+            "cold_model_persist_test_{}.cold",
             std::process::id()
         ));
         model.save(&path).unwrap();
@@ -385,7 +340,7 @@ mod tests {
         let model = fitted();
         let dir = std::env::temp_dir().join(format!("cold_persist_atomic_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.json");
+        let path = dir.join("model.cold");
         std::fs::write(&path, "{stale garbage").unwrap();
         model.save(&path).unwrap();
         let back = ColdModel::load(&path).unwrap();
@@ -399,33 +354,24 @@ mod tests {
     }
 
     #[test]
-    fn invalid_json_is_a_format_error() {
-        let err = ColdModel::from_json("{not json").unwrap_err();
-        assert!(matches!(err, PersistError::Format(_)));
-        assert!(err.to_string().contains("invalid model file"));
-    }
-
-    #[test]
     fn missing_file_is_an_io_error() {
-        let err = ColdModel::load("/definitely/not/here.json").unwrap_err();
+        let err = ColdModel::load("/definitely/not/here.cold").unwrap_err();
         assert!(matches!(err, PersistError::Io(_)));
     }
 
-    /// Binary round-trip is bit-exact and equal to the JSON path.
+    /// Binary round-trip is bit-exact. (The name predates the removal of
+    /// the JSON model format it was once compared against.)
     #[test]
     fn binary_round_trip_matches_json_path() {
         let model = fitted();
         let back = ColdModel::from_binary(&model.to_binary()).unwrap();
-        let via_json = ColdModel::from_json(&model.to_json()).unwrap();
         assert_eq!(back.dims(), model.dims());
         assert_eq!(back.num_samples(), model.num_samples());
         for i in 0..2 {
             assert_eq!(back.user_memberships(i), model.user_memberships(i));
-            assert_eq!(back.user_memberships(i), via_json.user_memberships(i));
         }
         for k in 0..2 {
             assert_eq!(back.topic_words(k), model.topic_words(k));
-            assert_eq!(back.topic_words(k), via_json.topic_words(k));
             for c in 0..2 {
                 assert_eq!(back.temporal(k, c), model.temporal(k, c));
             }
@@ -435,24 +381,6 @@ mod tests {
                 assert_eq!(back.eta(c, c2), model.eta(c, c2));
             }
         }
-    }
-
-    /// `load` auto-detects the format from the leading bytes.
-    #[test]
-    fn load_auto_detects_json_and_binary() {
-        let model = fitted();
-        let dir = std::env::temp_dir().join(format!("cold_model_detect_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let json_path = dir.join("model.json");
-        let bin_path = dir.join("model.cold");
-        model.save_as(&json_path, ModelFormat::Json).unwrap();
-        model.save_as(&bin_path, ModelFormat::Binary).unwrap();
-        let from_json = ColdModel::load(&json_path).unwrap();
-        let from_bin = ColdModel::load(&bin_path).unwrap();
-        assert_eq!(from_json.user_memberships(0), model.user_memberships(0));
-        assert_eq!(from_bin.user_memberships(0), model.user_memberships(0));
-        assert_eq!(from_bin.topic_words(1), from_json.topic_words(1));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -499,15 +427,5 @@ mod tests {
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         let err = ColdModel::from_binary(&bytes).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
-    }
-
-    #[test]
-    fn model_format_parses() {
-        assert_eq!("json".parse::<ModelFormat>().unwrap(), ModelFormat::Json);
-        assert_eq!(
-            "binary".parse::<ModelFormat>().unwrap(),
-            ModelFormat::Binary
-        );
-        assert!("yaml".parse::<ModelFormat>().is_err());
     }
 }

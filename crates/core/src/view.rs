@@ -1,24 +1,20 @@
 //! Zero-copy read-only model views for serving.
 //!
-//! Training hands back an owned [`ColdModel`]; a server wants the opposite
-//! trade: open a multi-gigabyte `cold-model/v1` artifact in roughly the
-//! time it takes to read the file, with no per-cell parse and no second
-//! copy of the tables. [`MappedModel`] delivers that by loading the
-//! artifact into **one 8-byte-aligned buffer** (a `Vec<u64>`, whose
-//! alignment guarantee is exactly the f64 sections' requirement) and
-//! serving every probability row as a slice straight into that buffer —
-//! the in-place read the artifact layout was designed for (every section
-//! starts 8-byte aligned behind the 64-byte header).
-//!
-//! [`ModelView`] is the format-agnostic entry point: it sniffs the magic
-//! and opens binary artifacts as a [`MappedModel`], falling back to a
-//! fully parsed owned [`ColdModel`] for JSON files. Both arms implement
-//! [`ModelRead`], so a `DiffusionPredictor<Arc<ModelView>>` neither knows
-//! nor cares which it got.
+//! Training hands back an owned [`ColdModel`](crate::ColdModel); a server
+//! wants the opposite trade: open a multi-gigabyte `cold-model/v1`
+//! artifact in roughly the time it takes to read the file, with no
+//! per-cell parse and no second copy of the tables. [`ModelView`] delivers
+//! that by loading the artifact into **one 8-byte-aligned buffer** (a
+//! `Vec<u64>`, whose alignment guarantee is exactly the f64 sections'
+//! requirement) and serving every probability row as a slice straight
+//! into that buffer — the in-place read the artifact layout was designed
+//! for (every section starts 8-byte aligned behind the 64-byte header).
+//! It implements [`ModelRead`], so a `DiffusionPredictor<Arc<ModelView>>`
+//! runs the same Eq. 5–7 code as one over an owned model.
 
-use crate::estimates::{ColdModel, ModelRead};
+use crate::estimates::ModelRead;
 use crate::params::Dims;
-use crate::persist::{verify_artifact, PersistError, MODEL_HEADER_LEN, MODEL_MAGIC};
+use crate::persist::{verify_artifact, PersistError, MODEL_HEADER_LEN};
 use std::io::Read;
 use std::path::Path;
 
@@ -28,7 +24,7 @@ use std::path::Path;
 /// a model allocates once and never walks the cells (except for the
 /// checksum pass that every load performs).
 #[derive(Debug)]
-pub struct MappedModel {
+pub struct ModelView {
     /// The whole artifact, as little-endian 64-bit words converted to
     /// native endianness at load. `Vec<u64>` rather than `Vec<u8>` so the
     /// allocation is 8-byte aligned and the f64 reinterpret below is
@@ -45,7 +41,7 @@ pub struct MappedModel {
 /// Payload start in u64 words (the 64-byte header).
 const PAYLOAD_WORD: usize = MODEL_HEADER_LEN / 8;
 
-impl MappedModel {
+impl ModelView {
     /// Open and verify an artifact file.
     ///
     /// The bytes are read into the aligned buffer, checksummed and
@@ -91,6 +87,18 @@ impl MappedModel {
         })
     }
 
+    /// Verify that `path` holds a loadable model and return its
+    /// dimensions, without keeping the view.
+    ///
+    /// This is the artifact re-verification gate the serving layer runs
+    /// before committing to a hot reload: the full header/length/checksum
+    /// pass, so a torn or half-copied file is rejected before any
+    /// expensive predictor precompute. The buffer is dropped on return —
+    /// the caller re-opens only once the bytes are known good.
+    pub fn verify_file(path: impl AsRef<Path>) -> Result<Dims, PersistError> {
+        Ok(Self::open(path)?.dims)
+    }
+
     /// Bytes held resident for this model (the whole artifact).
     pub fn resident_bytes(&self) -> usize {
         self.buf.len() * 8
@@ -108,7 +116,7 @@ impl MappedModel {
     }
 }
 
-impl ModelRead for MappedModel {
+impl ModelRead for ModelView {
     fn dims(&self) -> Dims {
         self.dims
     }
@@ -144,124 +152,11 @@ impl ModelRead for MappedModel {
     }
 }
 
-/// A read-only model opened from disk in whichever format it is stored.
-#[derive(Debug)]
-pub enum ModelView {
-    /// Parsed JSON model (owned tables).
-    Owned(ColdModel),
-    /// `cold-model/v1` artifact read in place.
-    Mapped(MappedModel),
-}
-
-impl ModelView {
-    /// Open `path`, sniffing the format: the `COLDMDL1` magic opens as a
-    /// zero-copy [`MappedModel`]; anything else parses as JSON into an
-    /// owned [`ColdModel`].
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        let path = path.as_ref();
-        let mut magic = [0u8; 8];
-        let n = {
-            let mut file = std::fs::File::open(path)?;
-            let mut read = 0;
-            // read() may return short; loop until EOF or the magic is full.
-            loop {
-                let got = file.read(&mut magic[read..])?;
-                if got == 0 {
-                    break;
-                }
-                read += got;
-                if read == magic.len() {
-                    break;
-                }
-            }
-            read
-        };
-        if n == magic.len() && magic == MODEL_MAGIC {
-            Ok(ModelView::Mapped(MappedModel::open(path)?))
-        } else {
-            Ok(ModelView::Owned(ColdModel::load(path)?))
-        }
-    }
-
-    /// Verify that `path` holds a loadable model and return its
-    /// dimensions, without keeping the view.
-    ///
-    /// This is the artifact re-verification gate the serving layer runs
-    /// before committing to a hot reload: a `cold-model/v1` binary gets
-    /// the full header/length/checksum pass (so a torn or half-copied
-    /// file is rejected before any expensive predictor precompute), a
-    /// JSON model a full parse. The buffer is dropped on return — the
-    /// caller re-opens only once the bytes are known good.
-    pub fn verify_file(path: impl AsRef<Path>) -> Result<Dims, PersistError> {
-        Ok(Self::open(path)?.dims())
-    }
-
-    /// Which backing this view opened with: `"mapped"` (zero-copy binary)
-    /// or `"owned"` (parsed JSON). Surfaces in `/healthz`.
-    pub fn backing(&self) -> &'static str {
-        match self {
-            ModelView::Owned(_) => "owned",
-            ModelView::Mapped(_) => "mapped",
-        }
-    }
-}
-
-impl ModelRead for ModelView {
-    fn dims(&self) -> Dims {
-        match self {
-            ModelView::Owned(m) => ModelRead::dims(m),
-            ModelView::Mapped(m) => m.dims(),
-        }
-    }
-
-    fn num_samples(&self) -> usize {
-        match self {
-            ModelView::Owned(m) => ModelRead::num_samples(m),
-            ModelView::Mapped(m) => m.num_samples(),
-        }
-    }
-
-    fn user_memberships(&self, user: u32) -> &[f64] {
-        match self {
-            ModelView::Owned(m) => ModelRead::user_memberships(m, user),
-            ModelView::Mapped(m) => m.user_memberships(user),
-        }
-    }
-
-    fn community_topics(&self, community: usize) -> &[f64] {
-        match self {
-            ModelView::Owned(m) => ModelRead::community_topics(m, community),
-            ModelView::Mapped(m) => m.community_topics(community),
-        }
-    }
-
-    fn eta(&self, c: usize, c2: usize) -> f64 {
-        match self {
-            ModelView::Owned(m) => ModelRead::eta(m, c, c2),
-            ModelView::Mapped(m) => m.eta(c, c2),
-        }
-    }
-
-    fn topic_words(&self, topic: usize) -> &[f64] {
-        match self {
-            ModelView::Owned(m) => ModelRead::topic_words(m, topic),
-            ModelView::Mapped(m) => m.topic_words(topic),
-        }
-    }
-
-    fn temporal(&self, topic: usize, community: usize) -> &[f64] {
-        match self {
-            ModelView::Owned(m) => ModelRead::temporal(m, topic, community),
-            ModelView::Mapped(m) => m.temporal(topic, community),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimates::ColdModel;
     use crate::params::ColdConfig;
-    use crate::persist::ModelFormat;
     use crate::sampler::GibbsSampler;
     use cold_graph::CsrGraph;
     use cold_text::CorpusBuilder;
@@ -292,8 +187,8 @@ mod tests {
         let model = fitted();
         let dir = tmpdir("bitexact");
         let path = dir.join("model.cold");
-        model.save_as(&path, ModelFormat::Binary).unwrap();
-        let view = MappedModel::open(&path).unwrap();
+        model.save(&path).unwrap();
+        let view = ModelView::open(&path).unwrap();
         assert_eq!(view.dims(), model.dims());
         assert_eq!(view.num_samples(), model.num_samples());
         for i in 0..3 {
@@ -312,26 +207,7 @@ mod tests {
             }
         }
         assert!(view.resident_bytes() >= MODEL_HEADER_LEN);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// `ModelView::open` sniffs the format and reports its backing.
-    #[test]
-    fn view_opens_both_formats() {
-        let model = fitted();
-        let dir = tmpdir("both");
-        let json = dir.join("model.json");
-        let bin = dir.join("model.cold");
-        model.save_as(&json, ModelFormat::Json).unwrap();
-        model.save_as(&bin, ModelFormat::Binary).unwrap();
-        let vj = ModelView::open(&json).unwrap();
-        let vb = ModelView::open(&bin).unwrap();
-        assert_eq!(vj.backing(), "owned");
-        assert_eq!(vb.backing(), "mapped");
-        assert_eq!(vj.user_memberships(1), vb.user_memberships(1));
-        assert_eq!(vj.dims(), vb.dims());
-        assert_eq!(ModelView::verify_file(&json).unwrap(), model.dims());
-        assert_eq!(ModelView::verify_file(&bin).unwrap(), model.dims());
+        assert_eq!(ModelView::verify_file(&path).unwrap(), model.dims());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -345,11 +221,11 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        let err = MappedModel::open(&path).unwrap_err();
+        let err = ModelView::open(&path).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
         // Truncation (drops the footer) is also rejected.
         std::fs::write(&path, &model.to_binary()[..40]).unwrap();
-        let err = MappedModel::open(&path).unwrap_err();
+        let err = ModelView::open(&path).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
         // The pre-reload verification gate rejects the same corruption.
         assert!(ModelView::verify_file(&path).is_err());
@@ -365,7 +241,7 @@ mod tests {
         let model = fitted();
         let dir = tmpdir("pred");
         let path = dir.join("model.cold");
-        model.save_as(&path, ModelFormat::Binary).unwrap();
+        model.save(&path).unwrap();
         let view = Arc::new(ModelView::open(&path).unwrap());
         let owned = DiffusionPredictor::new(&model, 2).unwrap();
         let mapped = DiffusionPredictor::new(view, 2).unwrap();

@@ -979,8 +979,8 @@ mod tests {
             let resumed = ParallelGibbs::resume(&corpus, cfg, ckpt).unwrap();
             let (model, _) = resumed.run();
             assert_eq!(
-                model.to_json(),
-                full.to_json(),
+                model.to_binary(),
+                full.to_binary(),
                 "{shards}-shard resume diverged from the uninterrupted run"
             );
         }

@@ -332,12 +332,11 @@ impl App {
         (
             status,
             format!(
-                "{{\"status\":\"{word}\",\"backing\":\"{}\",\"model\":\"{}\",\
+                "{{\"status\":\"{word}\",\"model\":\"{}\",\
                  \"generation\":{generation},\
                  \"users\":{},\"communities\":{},\"topics\":{},\
                  \"time_slices\":{},\"vocab\":{},\"samples\":{},\
                  \"uptime_seconds\":{}}}",
-                self.view.backing(),
                 json_escape(&self.model_path),
                 d.num_users,
                 d.num_communities,
@@ -576,7 +575,7 @@ fn field_u32(v: &Value, key: &str) -> Result<u32, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cold_core::{ColdConfig, GibbsSampler, ModelFormat};
+    use cold_core::{ColdConfig, GibbsSampler};
     use cold_graph::CsrGraph;
     use cold_text::CorpusBuilder;
 
@@ -595,7 +594,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cold_app_rank_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.cold");
-        model.save_as(&path, ModelFormat::Binary).unwrap();
+        model.save(&path).unwrap();
         let load = |depth| App::load(&path, 2, depth, None, Metrics::enabled()).unwrap();
 
         // Each topic keeps exactly its top entries, not a full-size row.

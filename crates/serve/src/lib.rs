@@ -13,7 +13,7 @@
 //! | `/predict` | POST | `{"publisher":u,"consumer":u,"words":[...]}` | Eq. 7 diffusion score |
 //! | `/rank-influencers` | POST | `{"topic":k,"limit":n}` | top users by outgoing influence on `k` |
 //! | `/communities/:user` | GET | — | `TopComm(i)` + full `π_i` row |
-//! | `/healthz` | GET | — | model shape, backing, uptime, generation, degraded state |
+//! | `/healthz` | GET | — | model shape, uptime, generation, degraded state |
 //! | `/metrics` | GET | — | `cold-obs/v1` JSONL snapshot |
 //! | `/reload` | POST | `{}` or `{"model": path}` | verify + atomically swap in a new artifact |
 //! | `/shutdown` | POST | — | graceful stop (in-band SIGTERM) |

@@ -682,7 +682,7 @@ pub(crate) fn route(ctx: &ServiceCtx, app: &App, request: &Request) -> RouteOutc
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use cold_core::{ColdConfig, GibbsSampler, ModelFormat};
+    use cold_core::{ColdConfig, GibbsSampler};
     use cold_graph::CsrGraph;
     use cold_text::CorpusBuilder;
 
@@ -730,7 +730,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cold_reloader_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.cold");
-        model.save_as(&path, ModelFormat::Binary).unwrap();
+        model.save(&path).unwrap();
         let app = App::load(&path, 2, 4, None, Metrics::enabled()).unwrap();
 
         let (svc, reload_rx) = ServiceCtx::new(&ServeConfig::default(), app);

@@ -3,7 +3,7 @@
 
 #![allow(dead_code)]
 
-use cold_core::{ColdConfig, ColdModel, GibbsSampler, ModelFormat};
+use cold_core::{ColdConfig, ColdModel, GibbsSampler};
 use cold_graph::CsrGraph;
 use cold_obs::Metrics;
 use cold_serve::{App, HttpClient, ServeConfig, Server};
@@ -31,7 +31,7 @@ pub fn tiled_model_file(dir: &Path, name: &str, seed: u64, users: u32) -> PathBu
 
 fn save(model: &ColdModel, dir: &Path, name: &str) -> PathBuf {
     let path = dir.join(name);
-    model.save_as(&path, ModelFormat::Binary).unwrap();
+    model.save(&path).unwrap();
     path
 }
 
@@ -82,7 +82,7 @@ pub fn skewed_model_file(dir: &Path, name: &str) -> PathBuf {
         .build(&corpus, &graph);
     let model = GibbsSampler::new(&corpus, &graph, config, 5).run();
     let path = dir.join(name);
-    model.save_as(&path, ModelFormat::Binary).unwrap();
+    model.save(&path).unwrap();
     path
 }
 

@@ -20,7 +20,6 @@ fn all_endpoints_answer_on_one_keepalive_connection_epoll() {
     assert_eq!(health.status, 200);
     let h = json(&health.body);
     assert_eq!(h.get("status"), Some(&Value::Str("ok".into())));
-    assert_eq!(h.get("backing"), Some(&Value::Str("mapped".into())));
     assert_eq!(num(h.get("users").unwrap()) as u32, 6);
 
     let predict = c

@@ -20,7 +20,7 @@ cargo run -q --release -p cold-cli -- generate \
   --out "$SMOKE_DIR/world.json" \
   --users 40 --communities 2 --topics 2 --vocab 60 --slices 6 --seed 11
 cargo run -q --release -p cold-cli -- train \
-  --data "$SMOKE_DIR/world.json" --out "$SMOKE_DIR/model.json" \
+  --data "$SMOKE_DIR/world.json" --out "$SMOKE_DIR/model.cold" \
   --communities 2 --topics 2 --iterations 40 --seed 11 \
   --metrics-out "$SMOKE_DIR/metrics.jsonl" >/dev/null
 cargo run -q --release -p cold-cli -- metrics-check --file "$SMOKE_DIR/metrics.jsonl"
@@ -30,7 +30,7 @@ echo "== checkpoint smoke (train → crash → resume → bitwise compare) =="
 # never touches the trajectory, so its model is the byte-exact target.
 rc=0
 cargo run -q --release -p cold-cli -- train \
-  --data "$SMOKE_DIR/world.json" --out "$SMOKE_DIR/model_resumed.json" \
+  --data "$SMOKE_DIR/world.json" --out "$SMOKE_DIR/model_resumed.cold" \
   --communities 2 --topics 2 --iterations 40 --seed 11 \
   --checkpoint-dir "$SMOKE_DIR/ckpts" --checkpoint-every 8 \
   --crash-after 23 >/dev/null 2>&1 || rc=$?
@@ -40,10 +40,10 @@ if [ "$rc" -ne 137 ]; then
 fi
 cargo run -q --release -p cold-cli -- ckpt-inspect --dir "$SMOKE_DIR/ckpts"
 cargo run -q --release -p cold-cli -- train \
-  --data "$SMOKE_DIR/world.json" --out "$SMOKE_DIR/model_resumed.json" \
+  --data "$SMOKE_DIR/world.json" --out "$SMOKE_DIR/model_resumed.cold" \
   --communities 2 --topics 2 --iterations 40 --seed 11 \
   --checkpoint-dir "$SMOKE_DIR/ckpts" --resume true >/dev/null
-if ! cmp -s "$SMOKE_DIR/model.json" "$SMOKE_DIR/model_resumed.json"; then
+if ! cmp -s "$SMOKE_DIR/model.cold" "$SMOKE_DIR/model_resumed.cold"; then
   echo "resumed model differs from the uninterrupted run" >&2
   exit 1
 fi
@@ -51,7 +51,7 @@ echo "resume is bit-identical to the uninterrupted run"
 
 echo "== shard-scaling smoke (train --shards 4 + metrics-check) =="
 cargo run -q --release -p cold-cli -- train \
-  --data "$SMOKE_DIR/world.json" --out "$SMOKE_DIR/model_par.json" \
+  --data "$SMOKE_DIR/world.json" --out "$SMOKE_DIR/model_par.cold" \
   --communities 2 --topics 2 --iterations 30 --seed 11 --shards 4 \
   --metrics-out "$SMOKE_DIR/metrics_par.jsonl" | tee "$SMOKE_DIR/par.log"
 # The parallel trainer prints the final complete-data log-likelihood;
@@ -69,26 +69,22 @@ awk -v ll="$ll" 'BEGIN { if (ll + 0 != ll + 0 || ll == "inf" || ll == "-inf") ex
 echo "final ll $ll is finite"
 cargo run -q --release -p cold-cli -- metrics-check --file "$SMOKE_DIR/metrics_par.jsonl"
 
-echo "== sparse-backend smoke (train --counter-storage sparse, binary model) =="
+echo "== sparse-backend smoke (train --counter-storage sparse, byte-compare) =="
 # Same world/seed as the dense reference run above, every counter family
-# forced sparse, and the model written as a cold-model/v1 binary: the
-# fitted estimates must round-trip equal to the dense JSON reference
-# (storage backend and artifact format are both bit-invisible).
+# forced sparse: the storage backend is bit-invisible, so the artifact
+# must be byte-identical to the dense reference (every f64 of every
+# table), and a read-side subcommand must open it.
 cargo run -q --release -p cold-cli -- train \
-  --data "$SMOKE_DIR/world.json" --out "$SMOKE_DIR/model_sparse.bin" \
+  --data "$SMOKE_DIR/world.json" --out "$SMOKE_DIR/model_sparse.cold" \
   --communities 2 --topics 2 --iterations 40 --seed 11 \
-  --counter-storage sparse --model-format binary >/dev/null
-cargo run -q --release -p cold-cli -- topics \
-  --model "$SMOKE_DIR/model_sparse.bin" --data "$SMOKE_DIR/world.json" \
-  > "$SMOKE_DIR/topics_sparse.txt"
-cargo run -q --release -p cold-cli -- topics \
-  --model "$SMOKE_DIR/model.json" --data "$SMOKE_DIR/world.json" \
-  > "$SMOKE_DIR/topics_dense.txt"
-if ! cmp -s "$SMOKE_DIR/topics_sparse.txt" "$SMOKE_DIR/topics_dense.txt"; then
-  echo "sparse-backed binary model disagrees with the dense JSON reference" >&2
+  --counter-storage sparse >/dev/null
+if ! cmp -s "$SMOKE_DIR/model_sparse.cold" "$SMOKE_DIR/model.cold"; then
+  echo "sparse-backed model differs from the dense reference" >&2
   exit 1
 fi
-echo "sparse-backed binary model matches the dense JSON reference"
+cargo run -q --release -p cold-cli -- topics \
+  --model "$SMOKE_DIR/model_sparse.cold" --data "$SMOKE_DIR/world.json" >/dev/null
+echo "sparse-backed model is byte-identical to the dense reference"
 
 echo "== replay-smoke (record → crash → resume → replay-check --fuzz) =="
 # A 4-shard checkpointed run is crashed mid-flight and resumed, each
@@ -98,7 +94,7 @@ echo "== replay-smoke (record → crash → resume → replay-check --fuzz) =="
 # classes + 1 permutation each).
 rc=0
 cargo run -q --release -p cold-cli -- train \
-  --data "$SMOKE_DIR/world.json" --out "$SMOKE_DIR/model_traced.json" \
+  --data "$SMOKE_DIR/world.json" --out "$SMOKE_DIR/model_traced.cold" \
   --communities 2 --topics 2 --iterations 24 --seed 11 --shards 4 \
   --checkpoint-dir "$SMOKE_DIR/trace_ckpts" --checkpoint-every 4 \
   --checkpoint-retain 2 --trace-out "$SMOKE_DIR/trace_crash.jsonl" \
@@ -108,7 +104,7 @@ if [ "$rc" -ne 137 ]; then
   exit 1
 fi
 cargo run -q --release -p cold-cli -- train \
-  --data "$SMOKE_DIR/world.json" --out "$SMOKE_DIR/model_traced.json" \
+  --data "$SMOKE_DIR/world.json" --out "$SMOKE_DIR/model_traced.cold" \
   --communities 2 --topics 2 --iterations 24 --seed 11 --shards 4 \
   --checkpoint-dir "$SMOKE_DIR/trace_ckpts" --checkpoint-every 4 \
   --checkpoint-retain 2 --trace-out "$SMOKE_DIR/trace_resume.jsonl" \
@@ -117,14 +113,14 @@ cargo run -q --release -p cold-cli -- replay-check \
   --trace "$SMOKE_DIR/trace_crash.jsonl,$SMOKE_DIR/trace_resume.jsonl" \
   --fuzz 20
 
-# serve-smoke — binary model → cold serve → all endpoints → clean stop.
+# serve-smoke — model → cold serve → all endpoints → clean stop.
 # Each answer must carry the expected JSON fields, caller mistakes must
 # come back 400 (never a handler panic), and POST /shutdown must drain the
 # server to a clean exit 0.
-echo "== serve-smoke (binary model → cold serve → all endpoints → clean stop) =="
+echo "== serve-smoke (model → cold serve → all endpoints → clean stop) =="
 SERVE_PORT=18395
 cargo run -q --release -p cold-cli -- serve \
-  --model "$SMOKE_DIR/model_sparse.bin" --data "$SMOKE_DIR/world.json" \
+  --model "$SMOKE_DIR/model_sparse.cold" --data "$SMOKE_DIR/world.json" \
   --port "$SERVE_PORT" \
   > "$SMOKE_DIR/serve.log" 2>&1 &
 serve_pid=$!
@@ -134,7 +130,6 @@ for _ in $(seq 1 50); do
 done
 base="http://127.0.0.1:$SERVE_PORT"
 curl -sf "$base/healthz" | grep -q '"status":"ok"'
-curl -sf "$base/healthz" | grep -q '"backing":"mapped"'
 curl -sf -X POST "$base/predict" \
   -d '{"publisher":0,"consumer":1,"words":[0,1,2]}' | grep -q '"score":'
 curl -sf -X POST "$base/rank-influencers" \
@@ -166,7 +161,7 @@ echo "all endpoints answered; server drained to a clean exit"
 echo "== chaos-smoke (seeded faults + handler panic + reload under a live server) =="
 CHAOS_PORT=18396
 cargo run -q --release -p cold-cli -- serve \
-  --model "$SMOKE_DIR/model_sparse.bin" --data "$SMOKE_DIR/world.json" \
+  --model "$SMOKE_DIR/model_sparse.cold" --data "$SMOKE_DIR/world.json" \
   --port "$CHAOS_PORT" --chaos true \
   --max-conns 32 --request-timeout-ms 2000 \
   > "$SMOKE_DIR/chaos_serve.log" 2>&1 &
@@ -182,9 +177,9 @@ cargo run -q --release -p cold-bench --bin chaos_client -- \
   --faults 10 --seed 9 --stall-ms 150
 # A deliberately corrupt artifact must be rejected (409) with the old
 # model untouched and still serving.
-head -c 200 "$SMOKE_DIR/model_sparse.bin" > "$SMOKE_DIR/model_corrupt.bin"
+head -c 200 "$SMOKE_DIR/model_sparse.cold" > "$SMOKE_DIR/model_corrupt.cold"
 st=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$cbase/reload" \
-  -d "{\"model\":\"$SMOKE_DIR/model_corrupt.bin\"}")
+  -d "{\"model\":\"$SMOKE_DIR/model_corrupt.cold\"}")
 if [ "$st" != "409" ]; then
   echo "corrupt reload returned HTTP $st, wanted 409" >&2
   exit 1
@@ -195,8 +190,8 @@ if [ "$ref" != "$after" ]; then
   exit 1
 fi
 # A valid artifact hot-swaps in (same bytes here, so same answers).
-cp "$SMOKE_DIR/model_sparse.bin" "$SMOKE_DIR/model_copy.bin"
-curl -sf -X POST "$cbase/reload" -d "{\"model\":\"$SMOKE_DIR/model_copy.bin\"}" \
+cp "$SMOKE_DIR/model_sparse.cold" "$SMOKE_DIR/model_copy.cold"
+curl -sf -X POST "$cbase/reload" -d "{\"model\":\"$SMOKE_DIR/model_copy.cold\"}" \
   | grep -q '"generation":1'
 curl -sf "$cbase/healthz" | grep -q '"generation":1'
 after=$(curl -sf -X POST "$cbase/predict" -d '{"publisher":0,"consumer":1,"words":[0]}')
@@ -231,9 +226,6 @@ echo "chaos mix survived; corrupt reload rejected; valid reload swapped; dead lo
 
 echo "== bench_serve --quick =="
 cargo run -q --release -p cold-bench --bin bench_serve -- --quick
-
-echo "== bench_memory --quick =="
-cargo run -q --release -p cold-bench --bin bench_memory -- --quick
 
 echo "== repository benchmark (its unit tests + the --smoke suite) =="
 # The benchmark's correctness checks (answers, AUC, accounting) run

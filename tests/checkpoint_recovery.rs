@@ -30,11 +30,12 @@ fn unique_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Train uninterrupted and return the model JSON (the bitwise reference).
-fn reference_model(data: &SocialDataset, kernel: SamplerKernel) -> String {
+/// Train uninterrupted and return the model artifact (the bitwise
+/// reference).
+fn reference_model(data: &SocialDataset, kernel: SamplerKernel) -> Vec<u8> {
     GibbsSampler::new(&data.corpus, &data.graph, config(data, kernel), SEED)
         .run()
-        .to_json()
+        .to_binary()
 }
 
 /// Simulate a crash: train up to sweep 23 of 24 with checkpoints every 8
@@ -56,14 +57,14 @@ fn resume_to_completion(
     data: &SocialDataset,
     kernel: SamplerKernel,
     ckptr: &Checkpointer,
-) -> String {
+) -> Vec<u8> {
     let ckpt = ckptr.load_latest().expect("recover a checkpoint");
     let mut resumed =
         GibbsSampler::resume(&data.corpus, config(data, kernel), ckpt).expect("resume");
     resumed
         .run_sweeps(usize::MAX, Some(ckptr))
         .expect("finish resumed run");
-    resumed.finish().to_json()
+    resumed.finish().to_binary()
 }
 
 #[test]

@@ -27,7 +27,7 @@ fn fit(data: &cold::data::SocialDataset) -> ColdModel {
 fn saved_and_loaded_models_predict_identically() {
     let data = world();
     let model = fit(&data);
-    let path = std::env::temp_dir().join("cold_persistence_pipeline.json");
+    let path = std::env::temp_dir().join("cold_persistence_pipeline.cold");
     model.save(&path).expect("save");
     let loaded = ColdModel::load(&path).expect("load");
     std::fs::remove_file(&path).ok();
