@@ -179,13 +179,6 @@ pub fn train(args: &Args) -> CliResult {
                     ParallelGibbs::resume(&data.corpus, config, ckpt).map_err(|e| e.to_string())?;
                 run_parallel(pg, Some(ckptr), crash_after, trace.as_ref())?
             }
-            CheckpointKind::Online => {
-                return Err(
-                    "the newest checkpoint is an online snapshot; `cold train` resumes \
-                     batch runs only"
-                        .into(),
-                )
-            }
         }
     } else {
         println!(

@@ -1,12 +1,11 @@
 //! Crash-safe checkpoint/resume for Gibbs training — the `cold-ckpt/v1`
 //! on-disk format and the durable writer behind it.
 //!
-//! Training on real data takes hours (the paper's Fig. 14) and the
-//! streaming settings never finish at all, so a crash at sweep 999/1000
-//! must not cost the run. A [`Checkpoint`] captures the *complete* sampler
-//! state at a sweep boundary — counters and assignments
-//! ([`CountState`]), the RNG stream position, annealing progress (implied
-//! by the sweep index), the partial posterior averages
+//! Training on real data takes hours (the paper's Fig. 14), so a crash at
+//! sweep 999/1000 must not cost the run. A [`Checkpoint`] captures the
+//! *complete* sampler state at a sweep boundary — counters and
+//! assignments ([`CountState`]), the RNG stream position, annealing
+//! progress (implied by the sweep index), the partial posterior averages
 //! ([`EstimateAccumulator`]) and the convergence trace — so resuming is
 //! **bit-identical** to never having stopped (the golden-trace suite
 //! proves this for every sampler kernel).
@@ -38,7 +37,7 @@
 use crate::estimates::EstimateAccumulator;
 use crate::params::ColdConfig;
 use crate::sampler::TrainTrace;
-use crate::state::{CountState, PostsView};
+use crate::state::CountState;
 use cold_obs::{trace, Metrics};
 use serde::{Deserialize, Serialize};
 use std::io::Write;
@@ -47,27 +46,16 @@ use std::path::{Path, PathBuf};
 /// Format tag stamped into every checkpoint header.
 pub const CKPT_FORMAT: &str = "cold-ckpt/v1";
 
-/// Which sampler wrote a checkpoint (resume dispatches on this).
+/// Which batch sampler wrote a checkpoint (resume dispatches on this).
+/// Both rebuild their post view from the training corpus, so a checkpoint
+/// carries no posts. Any other kind in a stored file is a
+/// [`CkptError::Format`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CheckpointKind {
     /// The sequential [`GibbsSampler`](crate::sampler::GibbsSampler).
     Sequential,
     /// The parallel engine (`cold-engine`'s `ParallelGibbs`).
     Parallel,
-    /// An [`OnlineCold`](crate::online::OnlineCold) streaming snapshot.
-    Online,
-}
-
-/// Streaming-specific fields of an [`CheckpointKind::Online`] checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OnlineMeta {
-    /// Gibbs draws per arriving post.
-    pub draws_per_post: usize,
-    /// Recent-window size for refresh sweeps (also the auto cache-refresh
-    /// cadence of `absorb`).
-    pub refresh_window: usize,
-    /// Posts absorbed since the kernel caches were last re-snapshotted.
-    pub absorbs_since_refresh: usize,
 }
 
 /// Errors from checkpoint persistence.
@@ -153,11 +141,6 @@ pub struct Checkpoint {
     pub trace: TrainTrace,
     /// Partial posterior averages collected after burn-in so far.
     pub acc: EstimateAccumulator,
-    /// The absorbed post stream (online checkpoints only — batch samplers
-    /// rebuild their view from the corpus).
-    pub posts: Option<PostsView>,
-    /// Streaming-specific knobs (online checkpoints only).
-    pub online: Option<OnlineMeta>,
 }
 
 impl Checkpoint {
@@ -236,7 +219,10 @@ impl Checkpoint {
     }
 
     /// Semantic sanity beyond the byte-level checks: configuration
-    /// validity and counter/assignment shapes consistent with the dims.
+    /// validity, state and accumulator dims equal to the configured ones,
+    /// and table shapes consistent with those dims. The dims come from
+    /// the file, so every product of them is checked: one that overflows
+    /// `usize` is a format error, never a length to compare against.
     pub fn validate(&self) -> Result<(), CkptError> {
         let fail = |msg: String| Err(CkptError::Format(msg));
         self.config.validate().map_err(CkptError::Format)?;
@@ -260,37 +246,68 @@ impl Checkpoint {
                 return fail("single-shard parallel checkpoint needs RNG words".into());
             }
         } else if self.rng.len() != 4 {
-            return fail("sequential/online checkpoint needs 4 RNG words".into());
-        }
-        if self.kind == CheckpointKind::Online && (self.posts.is_none() || self.online.is_none()) {
-            return fail("online checkpoint missing posts view or online metadata".into());
+            return fail("sequential checkpoint needs 4 RNG words".into());
         }
         let d = self.config.dims;
         let s = &self.state;
+        let (u, c, k, t, v) = (
+            d.num_users as usize,
+            d.num_communities,
+            d.num_topics,
+            d.num_time_slices,
+            d.vocab_size,
+        );
+        let rows = if self.config.community_specific_time {
+            c
+        } else {
+            1
+        };
+        let state_dims = (
+            s.num_communities,
+            s.num_topics,
+            s.num_time_slices,
+            s.vocab_size,
+            s.time_comm_rows,
+        );
+        if state_dims != (c, k, t, v, rows) {
+            return fail(format!(
+                "state dims (C, K, T, V, time rows) {state_dims:?} do not match the \
+                 configured ({c}, {k}, {t}, {v}, {rows})"
+            ));
+        }
+        let cells = |name: &str, factors: &[usize]| {
+            factors
+                .iter()
+                .try_fold(1usize, |acc, &f| acc.checked_mul(f))
+                .ok_or_else(|| CkptError::Format(format!("{name}: dims {factors:?} overflow")))
+        };
         let shape_checks = [
             (
                 "post_comm vs post_topic",
                 s.post_comm.len(),
                 s.post_topic.len(),
             ),
-            (
-                "n_ic",
-                s.n_ic.len(),
-                d.num_users as usize * d.num_communities,
-            ),
-            ("n_ck", s.n_ck.len(), d.num_communities * d.num_topics),
-            ("n_kv", s.n_kv.len(), d.num_topics * d.vocab_size),
-            ("n_vk", s.n_vk.len(), d.vocab_size * d.num_topics),
-            (
-                "n_ckt",
-                s.n_ckt.len(),
-                s.time_comm_rows * d.num_topics * d.num_time_slices,
-            ),
-            ("n_cc", s.n_cc.len(), d.num_communities * d.num_communities),
+            ("n_ic", s.n_ic.len(), cells("n_ic", &[u, c])?),
+            ("n_i", s.n_i.len(), u),
+            ("n_ck", s.n_ck.len(), cells("n_ck", &[c, k])?),
+            ("n_c", s.n_c.len(), c),
+            ("n_ckt", s.n_ckt.len(), cells("n_ckt", &[rows, k, t])?),
+            ("n_kv", s.n_kv.len(), cells("n_kv", &[k, v])?),
+            ("n_vk", s.n_vk.len(), cells("n_vk", &[v, k])?),
+            ("n_k", s.n_k.len(), k),
+            ("n_post_k", s.n_post_k.len(), k),
+            ("n_cc", s.n_cc.len(), cells("n_cc", &[c, c])?),
+            ("n0_cc", s.n0_cc.len(), cells("n0_cc", &[c, c])?),
             ("link assignments", s.link_src_comm.len(), s.links.len()),
+            ("link assignments", s.link_dst_comm.len(), s.links.len()),
             (
                 "neg-link assignments",
                 s.neg_src_comm.len(),
+                s.neg_links.len(),
+            ),
+            (
+                "neg-link assignments",
+                s.neg_dst_comm.len(),
                 s.neg_links.len(),
             ),
         ];
@@ -299,16 +316,9 @@ impl Checkpoint {
                 return fail(format!("{name}: length {got} does not match dims ({want})"));
             }
         }
-        if let Some(posts) = &self.posts {
-            if posts.len() != s.post_comm.len() {
-                return fail(format!(
-                    "posts view has {} posts but state assigns {}",
-                    posts.len(),
-                    s.post_comm.len()
-                ));
-            }
-        }
-        Ok(())
+        self.acc
+            .check_shape(&self.config)
+            .map_err(CkptError::Format)
     }
 
     /// Guard a resume: the live configuration must equal the checkpointed

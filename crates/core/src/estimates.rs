@@ -331,6 +331,43 @@ impl EstimateAccumulator {
         }
     }
 
+    /// Check that these partial averages have `config`'s dims and the
+    /// table lengths those dims imply. A checkpoint's accumulator comes
+    /// from a file, so a product of dims that overflows is an error too.
+    pub(crate) fn check_shape(&self, config: &ColdConfig) -> Result<(), String> {
+        let d = config.dims;
+        if self.dims != d {
+            return Err(format!(
+                "accumulator dims {:?} do not match the configured {d:?}",
+                self.dims
+            ));
+        }
+        let (c, k, t, v, u) = (
+            d.num_communities,
+            d.num_topics,
+            d.num_time_slices,
+            d.vocab_size,
+            d.num_users as usize,
+        );
+        for (name, got, factors) in [
+            ("pi", self.pi.len(), [u, c, 1]),
+            ("theta", self.theta.len(), [c, k, 1]),
+            ("eta", self.eta.len(), [c, c, 1]),
+            ("phi", self.phi.len(), [k, v, 1]),
+            ("psi", self.psi.len(), [c, k, t]),
+        ] {
+            let want = factors
+                .iter()
+                .try_fold(1usize, |acc, &f| acc.checked_mul(f));
+            if want != Some(got) {
+                return Err(format!(
+                    "accumulator {name}: length {got} does not match dims {factors:?}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Number of Gibbs samples folded in so far.
     pub fn samples_collected(&self) -> usize {
         self.samples

@@ -69,7 +69,6 @@ pub mod conditionals;
 pub mod diagnostics;
 pub mod diffusion;
 pub mod estimates;
-pub mod online;
 pub mod params;
 pub mod patterns;
 pub mod persist;
@@ -84,7 +83,6 @@ pub use cold_obs::Metrics;
 pub use conditionals::KernelCounters;
 pub use diffusion::{CommunityDiffusionGraph, DiffusionEdge};
 pub use estimates::{ColdModel, ModelRead};
-pub use online::OnlineCold;
 pub use params::{ColdConfig, ColdConfigBuilder, Dims, Hyperparams, MetricsHandle, SamplerKernel};
 pub use persist::{ModelFormat, PersistError};
 pub use predict::{DiffusionPredictor, PredictError};

@@ -171,8 +171,6 @@ impl GibbsSampler {
             state: self.state.clone(),
             trace: self.trace.clone(),
             acc: self.acc.clone(),
-            posts: None,
-            online: None,
         }
     }
 

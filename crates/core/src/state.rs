@@ -25,8 +25,7 @@ use serde::{Deserialize, Serialize};
 
 /// Immutable, sampler-friendly view of the posts: authors, times, and
 /// precomputed word multisets (Eq. 3 iterates distinct words with counts).
-/// Serializable so online checkpoints can carry the absorbed stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PostsView {
     /// Author of each post.
     pub authors: Vec<u32>,
@@ -658,50 +657,6 @@ impl CountDelta {
         out
     }
 
-    /// Parse a `cold-delta/v1` byte string.
-    pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        struct Reader<'a>(&'a [u8]);
-        impl Reader<'_> {
-            fn u32(&mut self) -> Result<u32, String> {
-                let (head, rest) = self
-                    .0
-                    .split_first_chunk::<4>()
-                    .ok_or_else(|| "truncated delta".to_owned())?;
-                self.0 = rest;
-                Ok(u32::from_le_bytes(*head))
-            }
-        }
-        let mut r = Reader(bytes);
-        if r.u32()? != DELTA_MAGIC {
-            return Err("not a cold-delta/v1 byte string".to_owned());
-        }
-        let mut delta = CountDelta::default();
-        for cells in delta.cell_families_mut() {
-            let count = r.u32()? as usize;
-            cells.reserve(count);
-            for _ in 0..count {
-                let idx = r.u32()?;
-                let d = r.u32()? as i32;
-                cells.push((idx, d));
-            }
-        }
-        for entries in [
-            &mut delta.post_assign,
-            &mut delta.link_assign,
-            &mut delta.neg_assign,
-        ] {
-            let count = r.u32()? as usize;
-            entries.reserve(count);
-            for _ in 0..count {
-                entries.push((r.u32()?, r.u32()?, r.u32()?));
-            }
-        }
-        if !r.0.is_empty() {
-            return Err(format!("{} trailing bytes after delta", r.0.len()));
-        }
-        Ok(delta)
-    }
-
     /// The nine counter families in wire order.
     fn cell_families(&self) -> [&Vec<(u32, i32)>; 9] {
         [
@@ -714,20 +669,6 @@ impl CountDelta {
             &self.n_k,
             &self.n_cc,
             &self.n0_cc,
-        ]
-    }
-
-    fn cell_families_mut(&mut self) -> [&mut Vec<(u32, i32)>; 9] {
-        [
-            &mut self.n_ic,
-            &mut self.n_i,
-            &mut self.n_ck,
-            &mut self.n_c,
-            &mut self.n_ckt,
-            &mut self.n_kv,
-            &mut self.n_k,
-            &mut self.n_cc,
-            &mut self.n0_cc,
         ]
     }
 }
@@ -1131,9 +1072,6 @@ mod tests {
         };
         let bytes = delta.encode();
         assert_eq!(bytes.len() as u64, delta.encoded_len());
-        assert_eq!(CountDelta::decode(&bytes).unwrap(), delta);
-        assert!(CountDelta::decode(&bytes[..bytes.len() - 1]).is_err());
-        assert!(CountDelta::decode(&[0u8; 8]).is_err());
     }
 
     /// Merging two deltas equals applying them in sequence.

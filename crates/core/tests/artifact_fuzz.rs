@@ -19,7 +19,6 @@ use cold_text::CorpusBuilder;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 /// Header bytes before the payload; the dims sit at 16, 24, …, 56.
@@ -129,8 +128,7 @@ fn mutate(rng: &mut SmallRng, good: &[u8]) -> Vec<u8> {
     }
 }
 
-/// Decode `bytes` both ways and check the outcome, turning any panic
-/// into a case failure so the seed is printed.
+/// Decode `bytes` both ways and check the outcome.
 fn check(bytes: &[u8]) -> Result<(), TestCaseError> {
     // One file per test thread: the two tests run concurrently.
     let path = std::env::temp_dir().join(format!(
@@ -139,17 +137,8 @@ fn check(bytes: &[u8]) -> Result<(), TestCaseError> {
         std::thread::current().id()
     ));
     std::fs::write(&path, bytes).expect("write artifact");
-    let decoded = catch_unwind(AssertUnwindSafe(|| {
-        (ColdModel::from_binary(bytes), ModelView::open(&path))
-    }));
+    let decoded = (ColdModel::from_binary(bytes), ModelView::open(&path));
     std::fs::remove_file(&path).ok();
-    let Ok(decoded) = decoded else {
-        return Err(TestCaseError::Fail(format!(
-            "a decoder panicked on {} bytes (header {:?})",
-            bytes.len(),
-            &bytes[..bytes.len().min(HEADER)]
-        )));
-    };
     match decoded {
         (Err(PersistError::Format(_)), Err(PersistError::Format(_))) => Ok(()),
         (Ok(model), Ok(view)) => {
@@ -163,11 +152,9 @@ fn check(bytes: &[u8]) -> Result<(), TestCaseError> {
             for topic in 0..dims.num_topics {
                 prop_assert!(view.topic_words(topic) == model.topic_words(topic));
             }
-            let scored = catch_unwind(AssertUnwindSafe(|| {
-                let predictor = DiffusionPredictor::new(view, 2)?;
-                predictor.diffusion_score(0, dims.num_users - 1, &[0])
-            }));
-            prop_assert!(scored.is_ok(), "DiffusionPredictor panicked on {dims:?}");
+            // A `PredictError` is a typed outcome too; only a panic fails.
+            let _ = DiffusionPredictor::new(view, 2)
+                .and_then(|predictor| predictor.diffusion_score(0, dims.num_users - 1, &[0]));
             Ok(())
         }
         (model, view) => Err(TestCaseError::Fail(format!(

@@ -354,8 +354,6 @@ impl ParallelGibbs {
             state: self.global.clone(),
             trace: TrainTrace::default(),
             acc: self.acc.clone(),
-            posts: None,
-            online: None,
         }
     }
 

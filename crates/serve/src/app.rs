@@ -435,10 +435,9 @@ impl AppSlot {
     /// and atomically swap it in.
     ///
     /// The new artifact is re-verified first ([`ModelView::verify_file`]:
-    /// header, length, and checksum for `cold-model/v1`; full parse for
-    /// JSON) and, when a vocabulary is attached, must keep the old
-    /// model's vocab axis — `/predict`'s string→id map would otherwise
-    /// silently mis-resolve. Any failure leaves the old model serving and
+    /// the `cold-model/v1` header, length and checksum) and, when a
+    /// vocabulary is attached, must keep the old model's vocab axis —
+    /// `/predict`'s string→id map would otherwise silently mis-resolve. Any failure leaves the old model serving and
     /// returns the reason (the transport answers `409`).
     pub fn reload(&self, new_path: Option<&str>) -> Result<ReloadOutcome, String> {
         let _guard = self

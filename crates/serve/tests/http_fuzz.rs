@@ -16,7 +16,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The system allocator, recording the largest single request made on
 /// the current thread since the last [`take_peak`].
@@ -75,14 +74,8 @@ type Parsed = Result<Option<(Request, usize)>, ParseError>;
 /// One `try_parse`, with the invariants every outcome must keep.
 fn parse(buf: &[u8], max_body: usize) -> Result<Parsed, TestCaseError> {
     take_peak();
-    let parsed = catch_unwind(AssertUnwindSafe(|| try_parse(buf, max_body)));
+    let parsed = try_parse(buf, max_body);
     let peak = take_peak();
-    let Ok(parsed) = parsed else {
-        return Err(TestCaseError::Fail(format!(
-            "try_parse panicked on {:?}",
-            String::from_utf8_lossy(&buf[..buf.len().min(300)])
-        )));
-    };
     prop_assert!(
         peak <= alloc_bound(buf.len()),
         "allocated {} bytes parsing {} bytes",

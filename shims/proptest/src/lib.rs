@@ -6,7 +6,8 @@
 //! `prop_flat_map` combinators, and the `prop_assert*` / `prop_assume`
 //! macros. Cases are generated from a seed derived deterministically from
 //! the test's module path, so failures reproduce across runs. There is no
-//! shrinking: a failing case reports its case index and message.
+//! shrinking: a failing case reports its case index, message and replay
+//! seed, whether it failed a `prop_assert*` or panicked.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -67,6 +68,22 @@ pub enum TestCaseError {
     Reject,
     /// A `prop_assert*` failed.
     Fail(String),
+}
+
+/// Re-raise a panic from property case `case` with its replay seed in the
+/// message, so a body that panics (rather than failing a `prop_assert*`)
+/// still says how to replay it. The original message is kept, so
+/// `#[should_panic(expected = ...)]` still matches.
+#[doc(hidden)]
+pub fn rethrow_with_seed(case: u64, seed: u64, payload: Box<dyn std::any::Any + Send>) -> ! {
+    let msg = match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => match payload.downcast::<&str>() {
+            Ok(msg) => (*msg).to_owned(),
+            Err(_) => "non-string panic payload".to_owned(),
+        },
+    };
+    panic!("proptest case #{case} panicked (replay with {SEED_ENV}=0x{seed:x}): {msg}");
 }
 
 /// Runner configuration (subset of proptest's).
@@ -322,8 +339,13 @@ macro_rules! __proptest_fns {
                 });
                 let mut __rng = $crate::rng_from_seed(seed);
                 $(let $pat = $crate::Strategy::generate(&($strat), &mut __rng);)+
-                let result: ::std::result::Result<(), $crate::TestCaseError> =
-                    (|| { $body ::std::result::Result::Ok(()) })();
+                let result = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(
+                    || -> ::std::result::Result<(), $crate::TestCaseError> {
+                        $body
+                        ::std::result::Result::Ok(())
+                    },
+                ))
+                .unwrap_or_else(|payload| $crate::rethrow_with_seed(case, seed, payload));
                 match result {
                     Ok(()) => accepted += 1,
                     Err($crate::TestCaseError::Reject) => rejected += 1,
@@ -420,6 +442,24 @@ mod tests {
         for _ in 0..8 {
             assert_eq!(direct.gen::<u64>(), derived.gen::<u64>());
         }
+    }
+
+    proptest! {
+        fn panics_on_every_case(x in 0u32..10) {
+            assert!(x >= 10, "boom {x}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_property_names_its_replay_seed() {
+        let payload = std::panic::catch_unwind(panics_on_every_case).unwrap_err();
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        let seed = env_seed()
+            .unwrap_or_else(|| seed_for_case(concat!(module_path!(), "::panics_on_every_case"), 1));
+        assert!(msg.contains(&format!("{SEED_ENV}=0x{seed:x}")), "{msg}");
+        assert!(msg.contains("boom"), "{msg}");
     }
 
     #[test]

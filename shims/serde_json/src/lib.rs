@@ -395,9 +395,13 @@ impl<'a> Parser<'a> {
                 return Ok(Value::UInt(n));
             }
         }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| Error::new(format!("invalid number `{text}`")))
+        // Like real serde_json, a literal past the f64 range is an error,
+        // not an infinity that would re-serialize as null.
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Value::Float(f)),
+            Ok(_) => Err(Error::new(format!("number out of range `{text}`"))),
+            Err(_) => Err(Error::new(format!("invalid number `{text}`"))),
+        }
     }
 }
 
@@ -413,6 +417,16 @@ mod tests {
         assert!(err.to_string().contains("recursion limit"), "{err}");
         // Deep enough to overflow any thread's stack if it recursed.
         assert!(from_str::<Value>(&"[{\"a\":".repeat(500_000)).is_err());
+    }
+
+    #[test]
+    fn a_number_past_the_f64_range_is_an_error() {
+        assert_eq!(from_str::<f64>("1e308").unwrap(), 1e308);
+        assert_eq!(from_str::<f64>("99999999999999999999").unwrap(), 1e20);
+        for text in ["1e400", "-1e400", &"9".repeat(400)] {
+            let err = from_str::<f64>(text).unwrap_err();
+            assert!(err.to_string().contains("out of range"), "{text}: {err}");
+        }
     }
 
     #[test]

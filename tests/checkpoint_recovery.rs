@@ -211,3 +211,49 @@ fn clean_crash_resumes_from_newest_checkpoint() {
     assert_eq!(reference, resumed, "clean resume diverged");
     std::fs::remove_dir_all(ckptr.dir()).ok();
 }
+
+/// The world and configuration that wrote `tests/fixtures/ckpt_batch_parent.ckpt`:
+/// a sequential run with seed 26, checkpointed by `Checkpointer` at sweep
+/// 8 of 16 (after burn-in, so partial averages ride along).
+fn fixture_world() -> SocialDataset {
+    let world = WorldConfig {
+        num_users: 12,
+        vocab_size: 30,
+        num_time_slices: 4,
+        posts_per_user: 3.0,
+        words_per_post: 4.0,
+        link_candidates_per_user: 4,
+        ..WorldConfig::tiny()
+    };
+    generate(&world, 2626)
+}
+
+fn fixture_config(data: &SocialDataset) -> ColdConfig {
+    ColdConfig::builder(2, 2)
+        .iterations(16)
+        .burn_in(6)
+        .sample_lag(2)
+        .ll_every(4)
+        .checkpoint_every(4)
+        .build(&data.corpus, &data.graph)
+}
+
+/// A checkpoint written by an earlier build of the format is still read,
+/// and resuming it reproduces the uninterrupted run bit for bit. The
+/// fixture file is never regenerated: it pins what `cold-ckpt/v1` files
+/// already on disk contain.
+#[test]
+fn stored_batch_checkpoint_resumes_bit_identical() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/ckpt_batch_parent.ckpt");
+    let ckpt = Checkpoint::read(&path).expect("the stored batch checkpoint decodes");
+    assert_eq!(ckpt.sweeps_done, 8);
+    let data = fixture_world();
+    let mut resumed =
+        GibbsSampler::resume(&data.corpus, fixture_config(&data), ckpt).expect("resume");
+    resumed.run_sweeps(usize::MAX, None).expect("finish");
+    let reference = GibbsSampler::new(&data.corpus, &data.graph, fixture_config(&data), 26)
+        .run()
+        .to_binary();
+    assert_eq!(resumed.finish().to_binary(), reference);
+}

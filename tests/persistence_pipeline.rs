@@ -1,12 +1,9 @@
 //! Full persistence pipeline: generate → train → save → load → predict,
-//! with the loaded model behaving identically to the in-memory one, plus
-//! the streaming (online) continuation on top of a persisted model's
-//! configuration.
+//! with the loaded model behaving identically to the in-memory one.
 
 use cold::core::predict::{link_probability, post_log_likelihood, predict_time_slice};
-use cold::core::{ColdConfig, ColdModel, DiffusionPredictor, GibbsSampler, OnlineCold};
+use cold::core::{ColdConfig, ColdModel, DiffusionPredictor, GibbsSampler};
 use cold::data::{generate, WorldConfig};
-use cold::text::Post;
 
 fn world() -> cold::data::SocialDataset {
     let mut config = WorldConfig::tiny();
@@ -73,34 +70,4 @@ fn dataset_round_trips_through_json() {
     let m1 = fit(&data);
     let m2 = fit(&back);
     assert_eq!(m1.user_memberships(0), m2.user_memberships(0));
-}
-
-#[test]
-fn online_continuation_extends_a_batch_fit() {
-    let data = world();
-    let config = ColdConfig::builder(3, 3)
-        .iterations(60)
-        .burn_in(50)
-        .small_data_defaults()
-        .build(&data.corpus, &data.graph);
-    let mut online = OnlineCold::warm_start(&data.corpus, &data.graph, config, 21);
-    let before = online.num_posts();
-    // Stream a day's worth of new posts re-using observed vocabulary.
-    for i in 0..50u32 {
-        let template = data.corpus.post(i % data.corpus.num_posts() as u32);
-        online.absorb(&Post::new(
-            template.author,
-            template.time,
-            template.words.clone(),
-        ));
-    }
-    online.refresh();
-    online
-        .check_consistency()
-        .expect("counters consistent after streaming");
-    assert_eq!(online.num_posts(), before + 50);
-    // The snapshot is a fully functional model.
-    let snapshot = online.snapshot();
-    let post = data.corpus.post(0);
-    assert!(post_log_likelihood(&snapshot, post.author, &post.words).is_finite());
 }
