@@ -1,8 +1,8 @@
 //! CLI subcommands.
 
 use crate::args::Args;
-use cold_core::checkpoint::{Checkpoint, CheckpointKind, Checkpointer};
-use cold_core::{ColdConfig, ColdModel, CounterStorage, DiffusionPredictor, GibbsSampler, Metrics};
+use cold_core::checkpoint::{Checkpoint, Checkpointer};
+use cold_core::{ColdConfig, ColdModel, CounterStorage, DiffusionPredictor, Metrics};
 use cold_data::{SocialDataset, WorldConfig};
 use cold_engine::ParallelGibbs;
 use cold_math::rng::seeded_rng;
@@ -95,7 +95,10 @@ pub fn generate(args: &Args) -> CliResult {
 /// `--checkpoint-every` sweeps (default 10, newest `--checkpoint-retain`
 /// kept, default 3); `--resume true` continues from the newest readable
 /// checkpoint in that directory — the resumed run is bit-identical to an
-/// uninterrupted one, provided the same training flags are passed.
+/// uninterrupted one, provided the same training flags are passed (a
+/// checkpoint written with another `--shards` is refused). Every shard
+/// count runs through `ParallelGibbs`; at `--shards 1` that is the
+/// sequential chain itself.
 /// `--crash-after N` aborts the process (exit code 137) after sweep `N`,
 /// for crash-recovery drills.
 ///
@@ -155,11 +158,19 @@ pub fn train(args: &Args) -> CliResult {
         .metrics(metrics.clone())
         .build(&data.corpus, &data.graph);
     let started = std::time::Instant::now();
-    let model = if resume {
+    let pg = if resume {
         let ckptr = ckptr
             .as_ref()
             .ok_or("--resume true requires --checkpoint-dir")?;
         let ckpt = ckptr.load_latest().map_err(|e| e.to_string())?;
+        if ckpt.shards != shards {
+            return Err(format!(
+                "the checkpoint in {} was written with --shards {}, but this run has \
+                 --shards {shards}; resume with the same flags",
+                ckptr.dir().display(),
+                ckpt.shards
+            ));
+        }
         println!(
             "resuming {:?} run from sweep {}/{iterations} in {}…",
             ckpt.kind,
@@ -168,32 +179,16 @@ pub fn train(args: &Args) -> CliResult {
         );
         // The config is rebuilt from the flags above; `resume` verifies it
         // matches the checkpointed one, so pass the same training flags.
-        match ckpt.kind {
-            CheckpointKind::Sequential => {
-                let sampler =
-                    GibbsSampler::resume(&data.corpus, config, ckpt).map_err(|e| e.to_string())?;
-                run_sequential(sampler, Some(ckptr), crash_after, trace.as_ref())?
-            }
-            CheckpointKind::Parallel => {
-                let pg =
-                    ParallelGibbs::resume(&data.corpus, config, ckpt).map_err(|e| e.to_string())?;
-                run_parallel(pg, Some(ckptr), crash_after, trace.as_ref())?
-            }
-        }
+        ParallelGibbs::resume(&data.corpus, config, ckpt).map_err(|e| e.to_string())?
     } else {
         println!(
             "training C={c} K={k} on {} ({iterations} sweeps, {shards} shard{})…",
             data.summary(),
             if shards == 1 { "" } else { "s" }
         );
-        if shards > 1 {
-            let pg = ParallelGibbs::new(&data.corpus, &data.graph, config, shards, seed);
-            run_parallel(pg, ckptr.as_ref(), crash_after, trace.as_ref())?
-        } else {
-            let sampler = GibbsSampler::new(&data.corpus, &data.graph, config, seed);
-            run_sequential(sampler, ckptr.as_ref(), crash_after, trace.as_ref())?
-        }
+        ParallelGibbs::new(&data.corpus, &data.graph, config, shards, seed)
     };
+    let model = run_training(pg, ckptr.as_ref(), crash_after, trace.as_ref())?;
     println!("trained in {:.1}s", started.elapsed().as_secs_f64());
     model.save(out).map_err(|e| e.to_string())?;
     println!("model -> {out}");
@@ -214,25 +209,8 @@ fn write_trace(metrics: &Metrics, path: &str) -> CliResult {
     Ok(())
 }
 
-/// Drive a sequential sampler to completion (or to the injected crash).
-fn run_sequential(
-    mut sampler: GibbsSampler,
-    ckptr: Option<&Checkpointer>,
-    crash_after: Option<usize>,
-    trace: Option<&(Metrics, String)>,
-) -> Result<ColdModel, String> {
-    if let Some(n) = crash_after {
-        sampler.run_sweeps(n, ckptr).map_err(|e| e.to_string())?;
-        crash_now(n, trace);
-    }
-    match ckptr {
-        Some(ckptr) => sampler.run_checkpointed(ckptr).map_err(|e| e.to_string()),
-        None => Ok(sampler.run()),
-    }
-}
-
-/// Drive a parallel sampler to completion (or to the injected crash).
-fn run_parallel(
+/// Drive the sampler to completion (or to the injected crash).
+fn run_training(
     mut pg: ParallelGibbs,
     ckptr: Option<&Checkpointer>,
     crash_after: Option<usize>,
@@ -247,11 +225,12 @@ fn run_parallel(
         .map_err(|e| e.to_string())?;
     pg.publish_final_gauges(start.elapsed().as_secs_f64());
     println!(
-        "parallel wall time {:.1}s over {} supersteps ({} shards); \
+        "wall time {:.1}s over {} supersteps ({} shard{}); \
          final complete-data log-likelihood {:.4}",
         start.elapsed().as_secs_f64(),
         pg.sweeps_done(),
         pg.shards(),
+        if pg.shards() == 1 { "" } else { "s" },
         pg.log_likelihood()
     );
     Ok(pg.finish())

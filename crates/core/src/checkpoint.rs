@@ -37,8 +37,10 @@
 use crate::estimates::EstimateAccumulator;
 use crate::params::ColdConfig;
 use crate::sampler::TrainTrace;
-use crate::state::CountState;
+use crate::state::{CountState, PostsView};
+use cold_math::rng::Rng;
 use cold_obs::{trace, Metrics};
+use cold_text::Corpus;
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -46,15 +48,19 @@ use std::path::{Path, PathBuf};
 /// Format tag stamped into every checkpoint header.
 pub const CKPT_FORMAT: &str = "cold-ckpt/v1";
 
-/// Which batch sampler wrote a checkpoint (resume dispatches on this).
-/// Both rebuild their post view from the training corpus, so a checkpoint
-/// carries no posts. Any other kind in a stored file is a
-/// [`CkptError::Format`].
+/// Which batch sampler wrote a checkpoint. Both rebuild their post view
+/// from the training corpus, so a checkpoint carries no posts. Any other
+/// kind in a stored file is a [`CkptError::Format`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CheckpointKind {
-    /// The sequential [`GibbsSampler`](crate::sampler::GibbsSampler).
+    /// The sequential [`GibbsSampler`](crate::sampler::GibbsSampler):
+    /// always one shard with 4 RNG words. `GibbsSampler::resume` and a
+    /// one-shard `ParallelGibbs::resume` both accept it: they run the same
+    /// chain.
     Sequential,
-    /// The parallel engine (`cold-engine`'s `ParallelGibbs`).
+    /// The parallel engine (`cold-engine`'s `ParallelGibbs`) at any shard
+    /// count, also what `cold train` writes. Only `ParallelGibbs::resume`
+    /// accepts it.
     Parallel,
 }
 
@@ -238,15 +244,14 @@ impl Checkpoint {
                 self.rng.len()
             ));
         }
-        if self.kind == CheckpointKind::Parallel {
-            if self.shards == 0 {
-                return fail("parallel checkpoint with zero shards".into());
-            }
-            if self.shards == 1 && self.rng.len() != 4 {
-                return fail("single-shard parallel checkpoint needs RNG words".into());
-            }
-        } else if self.rng.len() != 4 {
-            return fail("sequential checkpoint needs 4 RNG words".into());
+        if self.shards == 0 || (self.kind == CheckpointKind::Sequential && self.shards != 1) {
+            return fail(format!(
+                "{:?} checkpoint with {} shards",
+                self.kind, self.shards
+            ));
+        }
+        if self.shards == 1 && self.rng.len() != 4 {
+            return fail("single-shard checkpoint needs 4 RNG words".into());
         }
         let d = self.config.dims;
         let s = &self.state;
@@ -319,6 +324,92 @@ impl Checkpoint {
         self.acc
             .check_shape(&self.config)
             .map_err(CkptError::Format)
+    }
+
+    /// The preamble of every resume. Checks, in order: the shapes
+    /// ([`validate`](Self::validate)), that the kind is one of `accepts`,
+    /// the configuration ([`check_config`](Self::check_config)), the
+    /// corpus's post count, and the contents (a checksum is no proof of
+    /// origin, and a sweep indexes counters by these values). Then it
+    /// restores a one-shard run's RNG stream, re-applies the configured
+    /// storage policy (checkpoints carry dense counters; the chain is
+    /// unaffected) and records the `resume` trace event, which consumes
+    /// the preceding `ckpt_load` in the replay model.
+    pub fn resume_point(
+        self,
+        corpus: &Corpus,
+        config: &ColdConfig,
+        accepts: &[CheckpointKind],
+    ) -> Result<ResumePoint, CkptError> {
+        self.validate()?;
+        if !accepts.contains(&self.kind) {
+            return Err(CkptError::Format(format!(
+                "expected a {accepts:?} checkpoint, found {:?}",
+                self.kind
+            )));
+        }
+        self.check_config(config)?;
+        let posts = PostsView::from_corpus(corpus);
+        if posts.len() != self.state.post_comm.len() {
+            return Err(CkptError::ConfigMismatch(format!(
+                "corpus has {} posts but the checkpoint assigns {}",
+                posts.len(),
+                self.state.post_comm.len()
+            )));
+        }
+        self.check_contents(&posts)?;
+        let rng = (self.shards == 1).then(|| {
+            let words = self.rng.as_slice().try_into();
+            Rng::from_raw_state(words.expect("validated: one shard carries 4 RNG words"))
+        });
+        let mut ckpt = self;
+        ckpt.state.select_storage(config.counter_storage);
+        let metrics = &config.metrics.0;
+        if metrics.trace_enabled() {
+            metrics.trace_event(
+                "resume",
+                vec![
+                    trace::field("sweep", ckpt.sweeps_done),
+                    trace::field("shards", ckpt.shards),
+                ],
+            );
+        }
+        Ok(ResumePoint { ckpt, posts, rng })
+    }
+
+    /// Every assignment and link endpoint is in range, and every counter
+    /// equals its definition over the assignments. Runs after the shape
+    /// checks, so every table it reads has its configured length.
+    fn check_contents(&self, posts: &PostsView) -> Result<(), CkptError> {
+        let s = &self.state;
+        let (c, k) = (s.num_communities, s.num_topics);
+        let ranges: [(&str, &[u32], usize); 6] = [
+            ("post_comm", &s.post_comm, c),
+            ("post_topic", &s.post_topic, k),
+            ("link_src_comm", &s.link_src_comm, c),
+            ("link_dst_comm", &s.link_dst_comm, c),
+            ("neg_src_comm", &s.neg_src_comm, c),
+            ("neg_dst_comm", &s.neg_dst_comm, c),
+        ];
+        for (name, values, bound) in ranges {
+            if let Some((i, v)) = values
+                .iter()
+                .enumerate()
+                .find(|(_, &v)| v as usize >= bound)
+            {
+                return Err(CkptError::Format(format!(
+                    "{name}[{i}] = {v} is out of range (must be below {bound})"
+                )));
+            }
+        }
+        let users = self.config.dims.num_users;
+        let mut pairs = s.links.iter().chain(&s.neg_links);
+        if let Some((i, j)) = pairs.find(|&&(i, j)| i.max(j) >= users) {
+            return Err(CkptError::Format(format!(
+                "link ({i}, {j}) names a user outside the {users} users"
+            )));
+        }
+        s.check_consistency(posts).map_err(CkptError::Format)
     }
 
     /// Guard a resume: the live configuration must equal the checkpointed
@@ -587,6 +678,25 @@ impl Checkpointer {
             .counter_add("ckpt.corrupt_skipped", skipped as u64);
         Err(CkptError::NoCheckpoint(self.dir.clone()))
     }
+}
+
+/// A checkpoint that passed every check of [`Checkpoint::resume_point`],
+/// with what a sampler is rebuilt from besides it.
+#[derive(Debug)]
+pub struct ResumePoint {
+    /// The checkpoint, its state on the configured storage backends.
+    pub ckpt: Checkpoint,
+    /// The training corpus's posts.
+    pub posts: PostsView,
+    /// The sequential RNG stream: `Some` exactly when the run has one
+    /// shard. A sharded run re-derives its streams from the seed.
+    pub rng: Option<Rng>,
+}
+
+/// Whether sweep `sweep` (0-based) contributes a posterior sample: every
+/// `sample_lag`-th sweep from `burn_in` on.
+pub fn collects_after_sweep(config: &ColdConfig, sweep: usize) -> bool {
+    sweep >= config.burn_in && (sweep - config.burn_in).is_multiple_of(config.sample_lag)
 }
 
 /// The effective checkpoint cadence for a run: the configured

@@ -927,6 +927,50 @@ pub fn resample_negative_link(
     }
 }
 
+/// [`resample_post`] for each post in `ids`, in order: every post of the
+/// corpus, or the posts one shard owns.
+pub fn resample_posts(
+    state: &mut CountState,
+    posts: &PostsView,
+    ids: impl IntoIterator<Item = usize>,
+    hyper: &Hyperparams,
+    rho: f64,
+    rng: &mut Rng,
+    scratch: &mut Scratch,
+) {
+    for d in ids {
+        resample_post(state, posts, d, hyper, rho, rng, scratch);
+    }
+}
+
+/// [`resample_link`] for each link in `ids`, in order.
+pub fn resample_links(
+    state: &mut CountState,
+    ids: impl IntoIterator<Item = usize>,
+    hyper: &Hyperparams,
+    rho: f64,
+    rng: &mut Rng,
+    scratch: &mut Scratch,
+) {
+    for e in ids {
+        resample_link(state, e, hyper, rho, rng, scratch);
+    }
+}
+
+/// [`resample_negative_link`] for each negative pair in `ids`, in order.
+pub fn resample_negative_links(
+    state: &mut CountState,
+    ids: impl IntoIterator<Item = usize>,
+    hyper: &Hyperparams,
+    rho: f64,
+    rng: &mut Rng,
+    scratch: &mut Scratch,
+) {
+    for e in ids {
+        resample_negative_link(state, e, hyper, rho, rng, scratch);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

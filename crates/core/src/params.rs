@@ -235,6 +235,17 @@ impl ColdConfig {
         ColdConfigBuilder::new(num_communities, num_topics)
     }
 
+    /// The membership prior for sweep `sweep`: linearly decays from
+    /// `anneal_boost·ρ` to `ρ` over the annealing window.
+    pub fn annealed_rho(&self, sweep: usize) -> f64 {
+        let rho = self.hyper.rho;
+        if sweep >= self.anneal_sweeps || self.anneal_sweeps == 0 {
+            return rho;
+        }
+        let progress = sweep as f64 / self.anneal_sweeps as f64;
+        rho * (self.anneal_boost + (1.0 - self.anneal_boost) * progress)
+    }
+
     /// Check internal consistency.
     pub fn validate(&self) -> Result<(), String> {
         if self.dims.num_communities == 0 || self.dims.num_topics == 0 {

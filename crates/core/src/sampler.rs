@@ -13,8 +13,11 @@
 //! links — the §4.2 complexity claim, which the scaling bench (Fig. 13a)
 //! verifies empirically.
 
-use crate::checkpoint::{due_after_sweep, Checkpoint, CheckpointKind, Checkpointer, CkptError};
-use crate::conditionals::{resample_link, resample_negative_link, resample_post, Scratch};
+use crate::checkpoint::{
+    collects_after_sweep, due_after_sweep, Checkpoint, CheckpointKind, Checkpointer, CkptError,
+    ResumePoint,
+};
+use crate::conditionals::{resample_links, resample_negative_links, resample_posts, Scratch};
 use crate::estimates::{ColdModel, EstimateAccumulator};
 use crate::params::{ColdConfig, Hyperparams};
 use crate::state::{CountState, PostsView};
@@ -37,7 +40,8 @@ pub struct TrainTrace {
 /// The sequential collapsed Gibbs sampler.
 ///
 /// For the parallel (GraphLab-style) implementation see the `cold-engine`
-/// crate, which reuses this crate's [`CountState`] and conditionals.
+/// crate, which reuses this crate's [`CountState`] and conditionals; at one
+/// shard it runs this sampler's chain through [`sweep_in_place`].
 pub struct GibbsSampler {
     config: ColdConfig,
     posts: PostsView,
@@ -48,8 +52,6 @@ pub struct GibbsSampler {
     scratch: Scratch,
     /// Completed sweeps, drives the annealing schedule.
     sweeps_done: usize,
-    /// The membership prior in effect this sweep (annealed toward `ρ`).
-    current_rho: f64,
     /// Partial posterior averages collected after burn-in. A field (not a
     /// `run`-local) so checkpoints capture it and resume loses no samples.
     acc: EstimateAccumulator,
@@ -71,7 +73,6 @@ impl GibbsSampler {
         let posts = PostsView::from_corpus(corpus);
         let mut rng = seeded_rng(seed);
         let state = CountState::init_random(&config, &posts, graph, &mut rng);
-        let current_rho = Self::annealed_rho(&config, 0);
         Self {
             posts,
             state,
@@ -79,7 +80,6 @@ impl GibbsSampler {
             trace: TrainTrace::default(),
             scratch: Scratch::for_config(&config),
             sweeps_done: 0,
-            current_rho,
             acc: EstimateAccumulator::new(&config),
             seed,
             config,
@@ -96,61 +96,22 @@ impl GibbsSampler {
     /// `config` must equal the checkpointed configuration (a fresh
     /// [`Metrics`](cold_obs::Metrics) handle may be attached — it is
     /// ignored by config equality); `corpus` must be the training corpus.
+    /// Accepts [`CheckpointKind::Sequential`] only; every check is
+    /// [`Checkpoint::resume_point`]'s.
     pub fn resume(
         corpus: &cold_text::Corpus,
         config: ColdConfig,
         ckpt: Checkpoint,
     ) -> Result<Self, CkptError> {
-        if ckpt.kind != CheckpointKind::Sequential {
-            return Err(CkptError::Format(format!(
-                "expected a sequential-sampler checkpoint, found {:?}",
-                ckpt.kind
-            )));
-        }
-        ckpt.check_config(&config)?;
-        if ckpt.rng.len() != 4 {
-            return Err(CkptError::Format(format!(
-                "sequential checkpoint needs 4 RNG words, got {}",
-                ckpt.rng.len()
-            )));
-        }
-        let posts = PostsView::from_corpus(corpus);
-        if posts.len() != ckpt.state.post_comm.len() {
-            return Err(CkptError::ConfigMismatch(format!(
-                "corpus has {} posts but the checkpoint assigns {}",
-                posts.len(),
-                ckpt.state.post_comm.len()
-            )));
-        }
-        let mut words = [0u64; 4];
-        words.copy_from_slice(&ckpt.rng);
-        let current_rho = Self::annealed_rho(&config, ckpt.sweeps_done);
-        // Checkpoints always carry dense counters; re-apply the configured
-        // storage policy so a resumed run uses the same backends a fresh
-        // one would (cell values, and hence the chain, are unaffected).
-        let mut state = ckpt.state;
-        state.select_storage(config.counter_storage);
-        // The `resume` trace event consumes the preceding `ckpt_load` in
-        // the replay model — every resume must pair with exactly one
-        // loaded checkpoint.
-        let metrics = &config.metrics.0;
-        if metrics.trace_enabled() {
-            metrics.trace_event(
-                "resume",
-                vec![
-                    cold_obs::trace::field("sweep", ckpt.sweeps_done),
-                    cold_obs::trace::field("shards", 1usize),
-                ],
-            );
-        }
+        let ResumePoint { ckpt, posts, rng } =
+            ckpt.resume_point(corpus, &config, &[CheckpointKind::Sequential])?;
         Ok(Self {
             posts,
-            state,
-            rng: Rng::from_raw_state(words),
+            state: ckpt.state,
+            rng: rng.expect("a sequential checkpoint has one shard"),
             trace: ckpt.trace,
             scratch: Scratch::for_config(&config),
             sweeps_done: ckpt.sweeps_done,
-            current_rho,
             acc: ckpt.acc,
             seed: ckpt.seed,
             config,
@@ -172,17 +133,6 @@ impl GibbsSampler {
             trace: self.trace.clone(),
             acc: self.acc.clone(),
         }
-    }
-
-    /// The membership prior for sweep `sweep`: linearly decays from
-    /// `anneal_boost·ρ` to `ρ` over the annealing window.
-    fn annealed_rho(config: &ColdConfig, sweep: usize) -> f64 {
-        let rho = config.hyper.rho;
-        if sweep >= config.anneal_sweeps || config.anneal_sweeps == 0 {
-            return rho;
-        }
-        let progress = sweep as f64 / config.anneal_sweeps as f64;
-        rho * (config.anneal_boost + (1.0 - config.anneal_boost) * progress)
     }
 
     /// Read access to the mutable state (for tests and the engine crate).
@@ -223,9 +173,7 @@ impl GibbsSampler {
                 let ll = self.log_likelihood();
                 self.trace.log_likelihood.push((sweep, ll));
             }
-            if sweep >= self.config.burn_in
-                && (sweep - self.config.burn_in).is_multiple_of(self.config.sample_lag)
-            {
+            if collects_after_sweep(&self.config, sweep) {
                 self.acc.collect(&self.state);
             }
             if let Some(ckptr) = ckpt {
@@ -238,46 +186,42 @@ impl GibbsSampler {
     }
 
     /// Run the configured number of sweeps and return the averaged model.
-    pub fn run(mut self) -> ColdModel {
-        let metrics = self.config.metrics.0.clone();
-        let t0 = metrics.start();
-        self.run_loop(self.config.iterations, 10, None)
+    pub fn run(self) -> ColdModel {
+        let (model, _) = self
+            .run_to_end(10, None)
             .expect("checkpoint-free run cannot fail");
-        self.finish_metrics(&metrics, t0);
-        self.acc.finalize()
+        model
     }
 
     /// Run and also return the trace (for convergence tests / benches).
-    pub fn run_traced(mut self) -> (ColdModel, TrainTrace) {
-        let metrics = self.config.metrics.0.clone();
-        let t0 = metrics.start();
-        self.run_loop(self.config.iterations, 1, None)
-            .expect("checkpoint-free run cannot fail");
-        self.finish_metrics(&metrics, t0);
-        (self.acc.finalize(), self.trace)
-    }
-
-    /// [`run`](Self::run), writing a checkpoint through `ckpt` every
-    /// `checkpoint_every`-th sweep (default: every 10th) plus the final
-    /// one. Works identically on a fresh or [resumed](Self::resume)
-    /// sampler.
-    pub fn run_checkpointed(mut self, ckpt: &Checkpointer) -> Result<ColdModel, CkptError> {
-        let metrics = self.config.metrics.0.clone();
-        let t0 = metrics.start();
-        self.run_loop(self.config.iterations, 10, Some(ckpt))?;
-        self.finish_metrics(&metrics, t0);
-        Ok(self.acc.finalize())
+    pub fn run_traced(self) -> (ColdModel, TrainTrace) {
+        self.run_to_end(1, None)
+            .expect("checkpoint-free run cannot fail")
     }
 
     /// [`run_traced`](Self::run_traced) with checkpointing.
     pub fn run_traced_checkpointed(
-        mut self,
+        self,
         ckpt: &Checkpointer,
+    ) -> Result<(ColdModel, TrainTrace), CkptError> {
+        self.run_to_end(1, Some(ckpt))
+    }
+
+    /// [`run_loop`](Self::run_loop) to the last sweep, then the end-of-run
+    /// gauges.
+    fn run_to_end(
+        mut self,
+        default_every: usize,
+        ckpt: Option<&Checkpointer>,
     ) -> Result<(ColdModel, TrainTrace), CkptError> {
         let metrics = self.config.metrics.0.clone();
         let t0 = metrics.start();
-        self.run_loop(self.config.iterations, 1, Some(ckpt))?;
-        self.finish_metrics(&metrics, t0);
+        self.run_loop(self.config.iterations, default_every, ckpt)?;
+        if let Some(t0) = t0 {
+            metrics.gauge_set("train.wall_seconds", t0.elapsed().as_secs_f64());
+        }
+        metrics.gauge_set("train.sweeps", self.sweeps_done as f64);
+        self.state.publish_storage_gauges(&metrics);
         Ok((self.acc.finalize(), self.trace))
     }
 
@@ -306,76 +250,62 @@ impl GibbsSampler {
         (self.acc.finalize(), self.trace)
     }
 
-    /// End-of-run gauges for `run`/`run_traced`.
-    fn finish_metrics(&self, metrics: &cold_obs::Metrics, t0: Option<std::time::Instant>) {
-        if let Some(t0) = t0 {
-            metrics.gauge_set("train.wall_seconds", t0.elapsed().as_secs_f64());
-        }
-        metrics.gauge_set("train.sweeps", self.sweeps_done as f64);
-        self.state.publish_storage_gauges(metrics);
-    }
-
     /// One full Gibbs sweep over all posts and links.
     pub fn sweep(&mut self) {
-        let metrics = self.config.metrics.0.clone();
-        let _sweep_span = metrics.span("sweep");
-        self.current_rho = Self::annealed_rho(&self.config, self.sweeps_done);
-        self.scratch.begin_sweep(&self.state);
-        {
-            let _posts_span = metrics.span("posts");
-            for d in 0..self.posts.len() {
-                resample_post(
-                    &mut self.state,
-                    &self.posts,
-                    d,
-                    &self.config.hyper,
-                    self.current_rho,
-                    &mut self.rng,
-                    &mut self.scratch,
-                );
-            }
-        }
+        sweep_in_place(
+            &mut self.state,
+            &self.posts,
+            &self.config,
+            self.sweeps_done,
+            &mut self.rng,
+            &mut self.scratch,
+        );
         self.trace.post_draws += self.posts.len() as u64;
-        {
-            let _links_span = metrics.span("links");
-            for e in 0..self.state.links.len() {
-                resample_link(
-                    &mut self.state,
-                    e,
-                    &self.config.hyper,
-                    self.current_rho,
-                    &mut self.rng,
-                    &mut self.scratch,
-                );
-            }
-        }
-        self.trace.link_draws += self.state.links.len() as u64;
-        {
-            let _neg_span = metrics.span("neg_links");
-            for e in 0..self.state.neg_links.len() {
-                resample_negative_link(
-                    &mut self.state,
-                    e,
-                    &self.config.hyper,
-                    self.current_rho,
-                    &mut self.rng,
-                    &mut self.scratch,
-                );
-            }
-        }
-        self.trace.link_draws += self.state.neg_links.len() as u64;
+        self.trace.link_draws += (self.state.links.len() + self.state.neg_links.len()) as u64;
         self.sweeps_done += 1;
-        if metrics.is_enabled() {
-            self.scratch
-                .take_counters()
-                .flush_into(&metrics, self.config.kernel);
-        }
     }
 
     /// Complete-data log-likelihood of the training data under the current
     /// point estimates — the convergence monitor of §4.3.
     pub fn log_likelihood(&self) -> f64 {
         complete_log_likelihood(&self.state, &self.posts, &self.config.hyper)
+    }
+}
+
+/// Sweep number `sweep` of the sequential chain, in place: every post,
+/// then every link, then every negative pair of `state`, each with the
+/// sweep's annealed `ρ`, one RNG stream and one set of kernel caches. Both
+/// [`GibbsSampler`] and a one-shard `ParallelGibbs` run their sweeps
+/// through here. Records the `sweep` span (with `posts`, `links` and
+/// `neg_links` inside it) and flushes the kernel counters once.
+pub fn sweep_in_place(
+    state: &mut CountState,
+    posts: &PostsView,
+    config: &ColdConfig,
+    sweep: usize,
+    rng: &mut Rng,
+    scratch: &mut Scratch,
+) {
+    let metrics = &config.metrics.0;
+    let _sweep_span = metrics.span("sweep");
+    let (hyper, rho) = (&config.hyper, config.annealed_rho(sweep));
+    scratch.begin_sweep(state);
+    {
+        let _posts_span = metrics.span("posts");
+        resample_posts(state, posts, 0..posts.len(), hyper, rho, rng, scratch);
+    }
+    {
+        let _links_span = metrics.span("links");
+        let links = 0..state.links.len();
+        resample_links(state, links, hyper, rho, rng, scratch);
+    }
+    {
+        let _neg_span = metrics.span("neg_links");
+        let neg_links = 0..state.neg_links.len();
+        resample_negative_links(state, neg_links, hyper, rho, rng, scratch);
+    }
+    if metrics.is_enabled() {
+        scratch.take_counters().flush_into(metrics, config.kernel);
     }
 }
 

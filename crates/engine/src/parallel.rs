@@ -32,14 +32,15 @@
 
 use crate::cluster::{ClusterCostModel, SuperstepWork};
 use cold_core::checkpoint::{
-    due_after_sweep, fnv1a64, Checkpoint, CheckpointKind, Checkpointer, CkptError,
+    collects_after_sweep, due_after_sweep, fnv1a64, Checkpoint, CheckpointKind, Checkpointer,
+    CkptError, ResumePoint,
 };
 use cold_core::conditionals::{
-    resample_link, resample_negative_link, resample_post, KernelCounters, Scratch,
+    resample_links, resample_negative_links, resample_posts, KernelCounters, Scratch,
 };
 use cold_core::estimates::EstimateAccumulator;
 use cold_core::params::ColdConfig;
-use cold_core::sampler::{complete_log_likelihood, TrainTrace};
+use cold_core::sampler::{complete_log_likelihood, sweep_in_place, TrainTrace};
 use cold_core::state::{CountDelta, CountState, DeltaAcc, PostsView};
 use cold_core::ColdModel;
 use cold_graph::CsrGraph;
@@ -91,20 +92,21 @@ impl ShardWorker {
     }
 }
 
-/// How a [`ParallelGibbs`] executes its supersteps.
+/// The state that differs between one shard and several.
 enum ShardMode {
-    /// Two or more shards: per-shard RNG streams and replicas, reconciled
-    /// by delta sync at the barrier (the AD-LDA approximation).
+    /// Two or more shards: the factory of per-(superstep, shard) RNG
+    /// streams and one replica per shard, reconciled by delta sync at the
+    /// barrier (the AD-LDA approximation).
     Sharded {
         factory: RngFactory,
         /// One entry per shard.
         workers: Vec<ShardWorker>,
     },
-    /// Exactly one shard: run the sweep in place with a persistent RNG and
-    /// persistent kernel caches, exactly as the sequential
-    /// `GibbsSampler` does — trajectories are **bit-identical** to the
-    /// sequential sampler for the same seed, making shards=1 a true
-    /// degenerate case instead of a differently-seeded approximation.
+    /// Exactly one shard: the persistent RNG stream and kernel caches of
+    /// the sequential chain, swept in place by
+    /// [`sweep_in_place`] as `GibbsSampler` does. Seeded like
+    /// `GibbsSampler::new` and resumable from its checkpoints, so shards=1
+    /// is the sequential chain itself, bit for bit.
     Sequential { rng: Rng, scratch: Box<Scratch> },
 }
 
@@ -145,8 +147,8 @@ impl ParallelGibbs {
         config.validate().expect("invalid COLD configuration");
         let posts = PostsView::from_corpus(corpus);
         let (global, mode) = if shards == 1 {
-            // Degenerate case: seed and step the RNG exactly like
-            // `GibbsSampler::new` so the trajectories coincide bit-for-bit.
+            // One stream draws the initial assignments and then every
+            // sweep: the sequential chain's start (`GibbsSampler::new`).
             let mut rng = seeded_rng(seed);
             let global = CountState::init_random(&config, &posts, graph, &mut rng);
             let scratch = Box::new(Scratch::for_config(&config));
@@ -255,6 +257,11 @@ impl ParallelGibbs {
     /// replicas are barrier-local (each equals the checkpointed state's
     /// counters), so the checkpoint format carries nothing extra for them.
     ///
+    /// Accepts a [`CheckpointKind::Parallel`] checkpoint at any shard
+    /// count, and a [`CheckpointKind::Sequential`] one (always one shard):
+    /// a one-shard `ParallelGibbs` runs the sequential chain. Every check
+    /// is [`Checkpoint::resume_point`]'s.
+    ///
     /// [`ParallelStats`] restart at zero — work metering is per-process,
     /// not part of the training state.
     pub fn resume(
@@ -262,75 +269,36 @@ impl ParallelGibbs {
         config: ColdConfig,
         ckpt: Checkpoint,
     ) -> Result<Self, CkptError> {
-        if ckpt.kind != CheckpointKind::Parallel {
-            return Err(CkptError::Format(format!(
-                "expected a parallel-engine checkpoint, found {:?}",
-                ckpt.kind
-            )));
-        }
-        ckpt.check_config(&config)?;
-        let posts = PostsView::from_corpus(corpus);
-        if posts.len() != ckpt.state.post_comm.len() {
-            return Err(CkptError::ConfigMismatch(format!(
-                "corpus has {} posts but the checkpoint assigns {}",
-                posts.len(),
-                ckpt.state.post_comm.len()
-            )));
-        }
-        let shards = ckpt.shards;
-        // Checkpoints always carry dense counters; re-apply the configured
-        // storage policy before the shard replicas clone the global, so a
-        // resumed run uses the same backends a fresh one would.
-        let mut global = ckpt.state;
-        global.select_storage(config.counter_storage);
-        let mode = if shards == 1 {
-            if ckpt.rng.len() != 4 {
-                return Err(CkptError::Format(format!(
-                    "single-shard checkpoint needs 4 RNG words, got {}",
-                    ckpt.rng.len()
-                )));
-            }
-            let mut words = [0u64; 4];
-            words.copy_from_slice(&ckpt.rng);
-            ShardMode::Sequential {
-                rng: Rng::from_raw_state(words),
+        let kinds = [CheckpointKind::Parallel, CheckpointKind::Sequential];
+        let ResumePoint { ckpt, posts, rng } = ckpt.resume_point(corpus, &config, &kinds)?;
+        let mode = match rng {
+            Some(rng) => ShardMode::Sequential {
+                rng,
                 scratch: Box::new(Scratch::for_config(&config)),
-            }
-        } else {
-            ShardMode::Sharded {
+            },
+            None => ShardMode::Sharded {
                 factory: RngFactory::new(ckpt.seed),
-                workers: (0..shards).map(|_| ShardWorker::new(&global)).collect(),
-            }
+                workers: (0..ckpt.shards)
+                    .map(|_| ShardWorker::new(&ckpt.state))
+                    .collect(),
+            },
         };
         let (shard_posts, shard_links, shard_neg_links) =
-            Self::build_partitions(&posts, &global, shards);
+            Self::build_partitions(&posts, &ckpt.state, ckpt.shards);
         let this = Self {
             config,
             posts,
-            shards,
+            shards: ckpt.shards,
             shard_posts,
             shard_links,
             shard_neg_links,
-            global,
+            global: ckpt.state,
             mode,
             sweeps_done: ckpt.sweeps_done,
             acc: ckpt.acc,
             seed: ckpt.seed,
         };
         this.publish_partition_gauges();
-        // The `resume` trace event consumes the preceding `ckpt_load` in
-        // the replay model — every resume must pair with exactly one
-        // loaded checkpoint.
-        let metrics = &this.config.metrics.0;
-        if metrics.trace_enabled() {
-            metrics.trace_event(
-                "resume",
-                vec![
-                    field("sweep", this.sweeps_done),
-                    field("shards", this.shards),
-                ],
-            );
-        }
         Ok(this)
     }
 
@@ -397,9 +365,7 @@ impl ParallelGibbs {
             stats.superstep_seconds.push(t_step.elapsed().as_secs_f64());
             stats.supersteps.push(work);
         }
-        if sweep >= self.config.burn_in
-            && (sweep - self.config.burn_in).is_multiple_of(self.config.sample_lag)
-        {
+        if collects_after_sweep(&self.config, sweep) {
             self.acc.collect(&self.global);
         }
         if let Some(ckptr) = ckpt {
@@ -414,48 +380,30 @@ impl ParallelGibbs {
         Ok(())
     }
 
-    /// Run until the configured iteration count, from wherever the sampler
-    /// currently is (fresh or resumed).
-    fn run_to_completion(
-        mut self,
-        ckpt: Option<&Checkpointer>,
-    ) -> Result<(ColdModel, ParallelStats), CkptError> {
-        let mut stats = ParallelStats::default();
-        let start = std::time::Instant::now();
-        while self.sweeps_done < self.config.iterations {
-            self.step_once(Some(&mut stats), ckpt)?;
-        }
-        stats.wall_seconds = start.elapsed().as_secs_f64();
-        self.publish_final_gauges(stats.wall_seconds);
-        Ok((self.acc.finalize(), stats))
-    }
-
-    /// Publish the end-of-run gauges (`parallel.wall_seconds` and the
-    /// partition shape). [`run`](Self::run) and
-    /// [`run_checkpointed`](Self::run_checkpointed) call this themselves;
-    /// callers driving the sampler manually via
+    /// Publish the end-of-run gauges (`parallel.wall_seconds`,
+    /// `train.sweeps` and the partition shape). [`run`](Self::run) calls
+    /// this itself; callers driving the sampler manually via
     /// [`run_sweeps`](Self::run_sweeps) should call it once training ends.
     pub fn publish_final_gauges(&self, wall_seconds: f64) {
         let metrics = &self.config.metrics.0;
         metrics.gauge_set("parallel.wall_seconds", wall_seconds);
+        metrics.gauge_set("train.sweeps", self.sweeps_done as f64);
         self.publish_partition_gauges();
         self.global.publish_storage_gauges(metrics);
     }
 
-    /// Run the configured sweeps; returns the fitted model and work stats.
-    pub fn run(self) -> (ColdModel, ParallelStats) {
-        self.run_to_completion(None)
-            .expect("checkpoint-free run cannot fail")
-    }
-
-    /// [`run`](Self::run), writing a checkpoint through `ckpt` at every
-    /// `checkpoint_every`-th superstep barrier (default: every 10th) plus
-    /// the final one.
-    pub fn run_checkpointed(
-        self,
-        ckpt: &Checkpointer,
-    ) -> Result<(ColdModel, ParallelStats), CkptError> {
-        self.run_to_completion(Some(ckpt))
+    /// Run the configured sweeps, from wherever the sampler currently is
+    /// (fresh or resumed); returns the fitted model and work stats.
+    pub fn run(mut self) -> (ColdModel, ParallelStats) {
+        let mut stats = ParallelStats::default();
+        let start = std::time::Instant::now();
+        while self.sweeps_done < self.config.iterations {
+            self.step_once(Some(&mut stats), None)
+                .expect("checkpoint-free run cannot fail");
+        }
+        stats.wall_seconds = start.elapsed().as_secs_f64();
+        self.publish_final_gauges(stats.wall_seconds);
+        (self.acc.finalize(), stats)
     }
 
     /// Advance to superstep `upto` (capped at the configured iterations)
@@ -483,8 +431,8 @@ impl ParallelGibbs {
 
     /// One bulk-synchronous superstep: every shard resamples its items
     /// against stale counters + its own updates; the barrier reconciles
-    /// them by delta sync. With a single shard this degenerates to an
-    /// in-place sequential sweep (see [`ShardMode`]).
+    /// them by delta sync. With a single shard it is one sweep of the
+    /// sequential chain (see [`ShardMode`]).
     pub fn superstep(&mut self, sweep: usize) -> SuperstepWork {
         let metrics = self.config.metrics.0.clone();
         let sync = match &self.mode {
@@ -494,7 +442,7 @@ impl ParallelGibbs {
         self.trace_superstep("superstep_begin", sweep, sync);
         let t_step = metrics.start();
         let work = match &self.mode {
-            ShardMode::Sequential { .. } => self.superstep_sequential(sweep),
+            ShardMode::Sequential { .. } => self.superstep_single(sweep),
             ShardMode::Sharded { .. } => self.superstep_delta(sweep),
         };
         metrics.observe_since("parallel.superstep_seconds", t_step);
@@ -525,44 +473,28 @@ impl ParallelGibbs {
         metrics.trace_event(kind, fields);
     }
 
-    /// The shards=1 superstep: one in-place sweep with the persistent RNG
-    /// and kernel caches, mirroring `GibbsSampler::sweep` exactly. There is
+    /// The shards=1 superstep: one sweep of the sequential chain. There is
     /// no barrier, so nothing is synchronized: `sync_bytes` is 0.
-    fn superstep_sequential(&mut self, sweep: usize) -> SuperstepWork {
+    fn superstep_single(&mut self, sweep: usize) -> SuperstepWork {
         let metrics = self.config.metrics.0.clone();
-        let hyper = self.config.hyper;
-        let rho = annealed_rho(&self.config, sweep);
         let ShardMode::Sequential { rng, scratch } = &mut self.mode else {
             unreachable!("dispatched on mode");
         };
         let t_apply = metrics.start();
-        scratch.begin_sweep(&self.global);
-        for d in 0..self.posts.len() {
-            resample_post(&mut self.global, &self.posts, d, &hyper, rho, rng, scratch);
-        }
-        let n_links = self.global.links.len();
-        for e in 0..n_links {
-            resample_link(&mut self.global, e, &hyper, rho, rng, scratch);
-        }
-        let n_neg = self.global.neg_links.len();
-        for e in 0..n_neg {
-            resample_negative_link(&mut self.global, e, &hyper, rho, rng, scratch);
-        }
+        sweep_in_place(
+            &mut self.global,
+            &self.posts,
+            &self.config,
+            sweep,
+            rng,
+            scratch,
+        );
         metrics.observe_since("parallel.apply_seconds", t_apply);
         if metrics.is_enabled() {
-            metrics.counter_add("parallel.shard.0.post_draws", self.posts.len() as u64);
-            metrics.counter_add("parallel.shard.0.link_draws", (n_links + n_neg) as u64);
-            scratch
-                .take_counters()
-                .flush_into(&metrics, self.config.kernel);
+            self.publish_shard_draw_counters(&metrics);
         }
         debug_assert!(self.global.check_consistency(&self.posts).is_ok());
-        SuperstepWork {
-            post_ops: vec![self.posts.len() as u64],
-            link_ops: vec![(n_links + n_neg) as u64],
-            sync_bytes: 0,
-            shard_sync_bytes: Vec::new(),
-        }
+        self.superstep_work(0, Vec::new())
     }
 
     /// The delta-sync superstep: persistent replicas sample in place,
@@ -571,7 +503,7 @@ impl ParallelGibbs {
     fn superstep_delta(&mut self, sweep: usize) -> SuperstepWork {
         let metrics = self.config.metrics.0.clone();
         let hyper = self.config.hyper;
-        let rho = annealed_rho(&self.config, sweep);
+        let rho = self.config.annealed_rho(sweep);
         let ShardMode::Sharded {
             factory, workers, ..
         } = &mut self.mode
@@ -609,37 +541,13 @@ impl ParallelGibbs {
                         // Apply phase: resample every owned item in place,
                         // mirroring each counter update into the delta.
                         let t_apply = metrics.start();
-                        for &d in &shard_posts[s] {
-                            resample_post(
-                                &mut worker.replica,
-                                posts,
-                                d,
-                                &hyper,
-                                rho,
-                                &mut rng,
-                                &mut scratch,
-                            );
-                        }
-                        for &e in &shard_links[s] {
-                            resample_link(
-                                &mut worker.replica,
-                                e,
-                                &hyper,
-                                rho,
-                                &mut rng,
-                                &mut scratch,
-                            );
-                        }
-                        for &e in &shard_neg_links[s] {
-                            resample_negative_link(
-                                &mut worker.replica,
-                                e,
-                                &hyper,
-                                rho,
-                                &mut rng,
-                                &mut scratch,
-                            );
-                        }
+                        let (replica, rng, scratch) = (&mut worker.replica, &mut rng, &mut scratch);
+                        let owned_posts = shard_posts[s].iter().copied();
+                        resample_posts(replica, posts, owned_posts, &hyper, rho, rng, scratch);
+                        let owned_links = shard_links[s].iter().copied();
+                        resample_links(replica, owned_links, &hyper, rho, rng, scratch);
+                        let owned_neg = shard_neg_links[s].iter().copied();
+                        resample_negative_links(replica, owned_neg, &hyper, rho, rng, scratch);
                         metrics.observe_since("parallel.apply_seconds", t_apply);
                         let mut acc = scratch.detach_delta().expect("attached above");
                         let delta = acc.drain();
@@ -741,10 +649,10 @@ impl ParallelGibbs {
         }
         debug_assert!(self.global.check_consistency(&self.posts).is_ok());
         let total: u64 = shard_sync_bytes.iter().sum();
-        self.sharded_work(total, shard_sync_bytes)
+        self.superstep_work(total, shard_sync_bytes)
     }
 
-    /// Per-shard draw counters of a sharded superstep.
+    /// Per-shard draw counters of a superstep.
     fn publish_shard_draw_counters(&self, metrics: &cold_core::Metrics) {
         for s in 0..self.shards {
             metrics.counter_add(
@@ -758,8 +666,8 @@ impl ParallelGibbs {
         }
     }
 
-    /// The metered work of one sharded superstep.
-    fn sharded_work(&self, sync_bytes: u64, shard_sync_bytes: Vec<u64>) -> SuperstepWork {
+    /// The metered work of one superstep.
+    fn superstep_work(&self, sync_bytes: u64, shard_sync_bytes: Vec<u64>) -> SuperstepWork {
         SuperstepWork {
             post_ops: self.shard_posts.iter().map(|p| p.len() as u64).collect(),
             // Explicitly-modeled negative pairs cost the same O(C²) draw as
@@ -793,16 +701,6 @@ fn delta_families(delta: &CountDelta) -> [(&'static str, &Vec<(u32, i32)>); 9] {
         ("n_cc", &delta.n_cc),
         ("n0_cc", &delta.n0_cc),
     ]
-}
-
-/// Mirror of the sequential sampler's annealing schedule.
-fn annealed_rho(config: &ColdConfig, sweep: usize) -> f64 {
-    let rho = config.hyper.rho;
-    if sweep >= config.anneal_sweeps || config.anneal_sweeps == 0 {
-        return rho;
-    }
-    let progress = sweep as f64 / config.anneal_sweeps as f64;
-    rho * (config.anneal_boost + (1.0 - config.anneal_boost) * progress)
 }
 
 #[cfg(test)]

@@ -25,14 +25,17 @@ cargo run -q --release -p cold-cli -- train \
   --metrics-out "$SMOKE_DIR/metrics.jsonl" >/dev/null
 cargo run -q --release -p cold-cli -- metrics-check --file "$SMOKE_DIR/metrics.jsonl"
 
-echo "== checkpoint smoke (train → crash → resume → bitwise compare) =="
+echo "== checkpoint smoke (train → crash → resume → bitwise compare → replay-check) =="
 # The metrics run above is the uninterrupted reference: instrumentation
 # never touches the trajectory, so its model is the byte-exact target.
+# Each leg records its own cold-trace/v1 segment of the one-shard
+# ("seq"-synced) chain; the chained segments must replay clean.
 rc=0
 cargo run -q --release -p cold-cli -- train \
   --data "$SMOKE_DIR/world.json" --out "$SMOKE_DIR/model_resumed.cold" \
   --communities 2 --topics 2 --iterations 40 --seed 11 \
   --checkpoint-dir "$SMOKE_DIR/ckpts" --checkpoint-every 8 \
+  --trace-out "$SMOKE_DIR/trace1_crash.jsonl" \
   --crash-after 23 >/dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 137 ]; then
   echo "expected simulated crash (exit 137), got $rc" >&2
@@ -42,12 +45,16 @@ cargo run -q --release -p cold-cli -- ckpt-inspect --dir "$SMOKE_DIR/ckpts"
 cargo run -q --release -p cold-cli -- train \
   --data "$SMOKE_DIR/world.json" --out "$SMOKE_DIR/model_resumed.cold" \
   --communities 2 --topics 2 --iterations 40 --seed 11 \
-  --checkpoint-dir "$SMOKE_DIR/ckpts" --resume true >/dev/null
+  --checkpoint-dir "$SMOKE_DIR/ckpts" --resume true \
+  --trace-out "$SMOKE_DIR/trace1_resume.jsonl" >/dev/null
 if ! cmp -s "$SMOKE_DIR/model.cold" "$SMOKE_DIR/model_resumed.cold"; then
   echo "resumed model differs from the uninterrupted run" >&2
   exit 1
 fi
 echo "resume is bit-identical to the uninterrupted run"
+cargo run -q --release -p cold-cli -- replay-check \
+  --trace "$SMOKE_DIR/trace1_crash.jsonl,$SMOKE_DIR/trace1_resume.jsonl" \
+  --fuzz 20
 
 echo "== shard-scaling smoke (train --shards 4 + metrics-check) =="
 cargo run -q --release -p cold-cli -- train \

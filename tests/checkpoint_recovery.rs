@@ -4,8 +4,10 @@
 //! checkpoint and, once resumed, converge to a model bit-identical to an
 //! uninterrupted run.
 
+use cold::core::checkpoint::fnv1a64;
 use cold::core::{Checkpoint, Checkpointer, CkptError, ColdConfig, GibbsSampler, SamplerKernel};
 use cold::data::{generate, SocialDataset, WorldConfig};
+use cold::engine::ParallelGibbs;
 use std::path::PathBuf;
 
 const SEED: u64 = 131;
@@ -238,6 +240,11 @@ fn fixture_config(data: &SocialDataset) -> ColdConfig {
         .build(&data.corpus, &data.graph)
 }
 
+fn fixture_path() -> PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/ckpt_batch_parent.ckpt")
+}
+
 /// A checkpoint written by an earlier build of the format is still read,
 /// and resuming it reproduces the uninterrupted run bit for bit. The
 /// fixture file is never regenerated: it pins what `cold-ckpt/v1` files
@@ -256,4 +263,137 @@ fn stored_batch_checkpoint_resumes_bit_identical() {
         .run()
         .to_binary();
     assert_eq!(resumed.finish().to_binary(), reference);
+}
+
+/// `cold train` resumes every checkpoint through `ParallelGibbs`, so a
+/// sequential checkpoint already on disk must resume there too: one shard
+/// is the same chain, with the same RNG words, state and partial averages.
+#[test]
+fn stored_batch_checkpoint_resumes_bit_identical_through_the_engine() {
+    let ckpt = Checkpoint::read(fixture_path()).expect("the stored batch checkpoint decodes");
+    let data = fixture_world();
+    let mut resumed =
+        ParallelGibbs::resume(&data.corpus, fixture_config(&data), ckpt).expect("resume");
+    assert_eq!(resumed.shards(), 1);
+    resumed.run_sweeps(usize::MAX, None).expect("finish");
+    let reference = GibbsSampler::new(&data.corpus, &data.graph, fixture_config(&data), 26)
+        .run()
+        .to_binary();
+    assert_eq!(resumed.finish().to_binary(), reference);
+}
+
+/// The JSON payload of the stored fixture.
+fn fixture_payload() -> String {
+    let text = std::fs::read_to_string(fixture_path()).expect("read the stored fixture");
+    let (_header, payload) = text.split_once('\n').expect("header line");
+    payload.trim_end_matches('\n').to_owned()
+}
+
+/// `payload` under a freshly stamped header: only the decoder's and the
+/// resume's own checks stand between it and a sampler.
+fn stamped(payload: &str) -> Vec<u8> {
+    format!(
+        "cold-ckpt/v1 {} {:016x}\n{payload}\n",
+        payload.len(),
+        fnv1a64(payload.as_bytes())
+    )
+    .into_bytes()
+}
+
+/// The stored fixture with the JSON array after `"key":` rewritten by
+/// `edit`, re-stamped.
+fn tampered_fixture(key: &str, edit: impl Fn(&str) -> String) -> Vec<u8> {
+    let payload = fixture_payload();
+    let field = format!("\"{key}\":");
+    let start = payload.find(&field).expect("field present") + field.len();
+    let mut depth = 0;
+    let len = payload[start..]
+        .char_indices()
+        .find_map(|(i, ch)| {
+            match ch {
+                '[' => depth += 1,
+                ']' => depth -= 1,
+                _ => {}
+            }
+            (depth == 0).then_some(i + 1)
+        })
+        .expect("a closed array");
+    let edited = edit(&payload[start..start + len]);
+    stamped(&format!(
+        "{}{edited}{}",
+        &payload[..start],
+        &payload[start + len..]
+    ))
+}
+
+/// `array` (a JSON array of numbers or of number pairs) with its first
+/// number replaced by `value`.
+fn first_number(value: &'static str) -> impl Fn(&str) -> String {
+    move |array| {
+        let at = array
+            .find(|ch: char| ch.is_ascii_digit())
+            .expect("a number");
+        let end = at
+            + array[at..]
+                .find(|ch: char| !ch.is_ascii_digit())
+                .expect("more");
+        format!("{}{value}{}", &array[..at], &array[end..])
+    }
+}
+
+/// A checksum is no proof of origin: a checkpoint whose assignments point
+/// outside the configured dims, or whose counters disagree with its
+/// assignments, decodes (its shapes are right) but must be refused by
+/// both resumes as a typed error, before a sweep indexes a counter with
+/// it. Run in the debug build, a missed case panics here.
+#[test]
+fn tampered_checkpoint_contents_are_refused_by_both_resumes() {
+    let data = fixture_world();
+    // C = 2, K = 2, U = 12; the fixture has links but no negative pairs.
+    let cases = [
+        ("post_comm", first_number("7"), "post_comm[0] = 7"),
+        ("post_topic", first_number("2"), "post_topic[0] = 2"),
+        ("link_src_comm", first_number("2"), "link_src_comm[0] = 2"),
+        ("link_dst_comm", first_number("9"), "link_dst_comm[0] = 9"),
+        ("links", first_number("12"), "link (12, "),
+    ];
+    let cases = cases
+        .into_iter()
+        .map(|(key, edit, want)| (tampered_fixture(key, edit), want))
+        .chain([(tampered_fixture("n_c", |_| "[0,0]".into()), "n_c drifted")]);
+    for (bytes, want) in cases {
+        let ckpt = || Checkpoint::decode(&bytes).expect("shapes are intact, so it decodes");
+        let outcomes = [
+            (
+                "GibbsSampler",
+                GibbsSampler::resume(&data.corpus, fixture_config(&data), ckpt()).map(drop),
+            ),
+            (
+                "ParallelGibbs",
+                ParallelGibbs::resume(&data.corpus, fixture_config(&data), ckpt()).map(drop),
+            ),
+        ];
+        for (sampler, outcome) in outcomes {
+            match outcome {
+                Err(CkptError::Format(msg)) => assert!(msg.contains(want), "{sampler}: {msg}"),
+                Err(other) => panic!("{sampler}: {want}: wrong error {other}"),
+                Ok(()) => panic!("{sampler} resumed a checkpoint with {want}"),
+            }
+        }
+    }
+}
+
+/// A sequential run has exactly one shard, so a sequential checkpoint
+/// claiming more is malformed: `ParallelGibbs::resume` would otherwise
+/// size its worker set from the file.
+#[test]
+fn sequential_checkpoint_with_several_shards_is_refused() {
+    let payload = fixture_payload().replacen("\"shards\":1,", "\"shards\":3,", 1);
+    let bytes = stamped(&payload);
+    match Checkpoint::decode(&bytes) {
+        Err(CkptError::Format(msg)) => {
+            assert!(msg.contains("Sequential checkpoint with 3 shards"), "{msg}")
+        }
+        other => panic!("expected a format error, got {other:?}"),
+    }
 }
