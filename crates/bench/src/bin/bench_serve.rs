@@ -5,7 +5,7 @@
 //! structure stays exactly what training produced; the user axis, which is
 //! what serving memory and the `TopComm`/ranking precomputes scale with,
 //! grows to deployment size), saves the `cold-model/v1` binary artifact,
-//! and opens it through the zero-copy [`cold_core::ModelView`] behind a
+//! and opens it through [`cold_serve::App::load`] behind a
 //! real [`cold_serve::Server`] on a loopback socket.
 //!
 //! The load generator then sweeps client concurrency over every endpoint
@@ -75,7 +75,7 @@ struct BenchReport {
     vocab_size: usize,
     io_threads: usize,
     artifact_bytes: u64,
-    /// `ModelView::open` + ζ/TopComm/ranking precompute, seconds.
+    /// `ColdModel::open` + ζ/TopComm/ranking precompute, seconds.
     app_load_seconds: f64,
     points: Vec<LoadPoint>,
     /// Saturation study against a constrained server (a small
@@ -357,7 +357,7 @@ fn main() {
     .expect("load model");
     let app_load_seconds = t.elapsed().as_secs_f64();
     println!(
-        "opened {} users zero-copy and precomputed ζ/TopComm/rankings in {app_load_seconds:.2}s",
+        "opened {} users and precomputed ζ/TopComm/rankings in {app_load_seconds:.2}s",
         num_users
     );
     let server = Server::start(
@@ -444,7 +444,7 @@ fn main() {
         .max_by(|a, b| a.qps.total_cmp(&b.qps))
         .expect("predict points");
     let headline = format!(
-        "cold-serve answers /predict on a {}-user zero-copy model at {:.0} qps \
+        "cold-serve answers /predict on a {}-user model at {:.0} qps \
          (p50 {:.2} ms, p99 {:.2} ms at concurrency {}) after a {:.2}s cold start",
         num_users,
         best_predict.qps,

@@ -66,7 +66,7 @@ fn load_dataset(path: &str) -> Result<SocialDataset, String> {
 }
 
 fn load_model(path: &str) -> Result<ColdModel, String> {
-    ColdModel::load(path).map_err(|e| format!("reading {path}: {e}"))
+    ColdModel::open(path).map_err(|e| format!("reading {path}: {e}"))
 }
 
 /// `cold generate` — sample a synthetic world and write it to disk.
@@ -585,9 +585,9 @@ pub fn eval(args: &Args) -> CliResult {
 
 /// `cold serve` — long-running HTTP prediction API over a trained model.
 ///
-/// Loads the model once (zero-copy for `cold-model/v1` binaries), builds
-/// the predictor's `ζ` tensor and per-topic influencer rankings up front,
-/// then blocks answering requests until `POST /shutdown`. With `--data`
+/// Opens the `cold-model/v1` artifact once, builds the predictor's `ζ`
+/// tensor and per-topic influencer rankings up front, then blocks
+/// answering requests until `POST /shutdown`. With `--data`
 /// the dataset's vocabulary is attached so `/predict` accepts word
 /// strings, not just ids. Startup failures (missing model, occupied
 /// port) exit nonzero with the underlying error in context.

@@ -12,12 +12,11 @@ use serde::{Deserialize, Serialize};
 
 /// Read-only access to a fitted model's probability tables.
 ///
-/// Two storage strategies implement it: the owned [`ColdModel`] (five
-/// `Vec<f64>` tables, the training-side representation) and the zero-copy
-/// [`crate::view::ModelView`] (in-place reads over one aligned artifact
-/// buffer, the serving-side representation). Prediction code
-/// ([`crate::predict`]) is generic over this trait, so the same Eq. 5–7
-/// implementation runs against either backing.
+/// [`ColdModel`] is its one owning implementor: training returns one,
+/// and [`ColdModel::open`] reads one from a `cold-model/v1` artifact for
+/// the CLI and the server alike. Prediction code ([`crate::predict`]) is
+/// generic over this trait so that it can own the model or borrow it
+/// through the `&M` and `Arc<M>` lifts below.
 ///
 /// Implementations must uphold the [`ColdModel`] layout contract: `π` is
 /// `U×C` row-major, `θ` is `C×K`, `η` is `C×C`, `φ` is `K×V`, `ψ` is
@@ -60,7 +59,7 @@ pub trait ModelRead {
 }
 
 /// Borrowed and shared handles read straight through, so prediction code
-/// can own an `Arc<ModelView>` (a server) or borrow a `&ColdModel` (an
+/// can own an `Arc<ColdModel>` (a server) or borrow a `&ColdModel` (an
 /// experiment) with the same generic bounds.
 impl<M: ModelRead + ?Sized> ModelRead for &M {
     fn dims(&self) -> Dims {

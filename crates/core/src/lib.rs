@@ -76,7 +76,6 @@ pub mod predict;
 pub mod sampler;
 pub mod state;
 pub mod storage;
-pub mod view;
 
 pub use checkpoint::{Checkpoint, CheckpointKind, Checkpointer, CkptError, CKPT_FORMAT};
 pub use cold_obs::Metrics;
@@ -88,4 +87,8 @@ pub use persist::{ModelFormat, PersistError};
 pub use predict::{DiffusionPredictor, PredictError};
 pub use sampler::GibbsSampler;
 pub use storage::{CounterStorage, CounterStore};
-pub use view::ModelView;
+
+/// [`ColdModel`] under the name the repository benchmark still opens
+/// artifacts through (`ModelView::open` is [`ColdModel::open`]); it
+/// exists only for the benchmark.
+pub type ModelView = ColdModel;

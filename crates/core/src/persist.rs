@@ -3,24 +3,27 @@
 //! A fitted [`ColdModel`] is a set of dense probability tables; training it
 //! on real data can take hours (the paper's Fig. 14), so the model must
 //! outlive the process. It has one on-disk format, the **`cold-model/v1`**
-//! artifact that serving opens in milliseconds: a fixed 64-byte header
-//! (magic `COLDMDL1`, version, the six dimensions as little-endian `u64`s),
-//! the five probability tables as back-to-back little-endian `f64`
-//! sections in declaration order (`π, θ, η, φ, ψ` — every section starts
-//! 8-byte aligned, so the zero-copy [`crate::view::ModelView`] reads the
-//! file in place), and an FNV-1a64 checksum footer over everything before
-//! it (computed over little-endian 64-bit words — see [`fnv1a64_words`]),
-//! following the `cold-ckpt/v1` durability conventions. Loading is one
-//! read plus `f64::from_le_bytes` per cell — no parsing, bit-exact.
+//! artifact: a fixed 64-byte header (magic `COLDMDL1`, version, the six
+//! dimensions as little-endian `u64`s), the five probability tables as
+//! back-to-back little-endian `f64` sections in declaration order
+//! (`π, θ, η, φ, ψ`), and an FNV-1a64 checksum footer over everything
+//! before it (computed over little-endian 64-bit words — see
+//! [`fnv1a64_words`]), following the `cold-ckpt/v1` durability
+//! conventions.
 //!
-//! The checksum catches torn and corrupted files, not crafted ones, so
-//! [`verify_artifact`] treats the header dimensions as untrusted: every
-//! section length is computed with checked arithmetic and must add up to
-//! the bytes actually present.
+//! One decoder reads it, for [`ColdModel::open`] (a file) and
+//! [`ColdModel::from_binary`] (a byte slice) alike. It treats the header
+//! dimensions as untrusted — the checksum catches torn and corrupted
+//! files, not crafted ones — so every section length is computed with
+//! checked arithmetic and must add up to the bytes actually present
+//! before anything sized from the header is allocated. It then streams
+//! each section straight into its table, hashing as it goes: the file's
+//! bytes are copied once, into the tables, bit-exact.
 
 use crate::checkpoint::atomic_write;
 use crate::estimates::ColdModel;
 use crate::params::Dims;
+use std::io::{ErrorKind, Read};
 use std::path::Path;
 
 /// Errors from model persistence.
@@ -68,96 +71,70 @@ pub enum ModelFormat {
 /// 8-byte magic opening every `cold-model/v1` artifact.
 pub const MODEL_MAGIC: [u8; 8] = *b"COLDMDL1";
 
-/// FNV-1a64 over the body viewed as little-endian 64-bit words (a short
-/// tail, only possible in corrupt files, is zero-padded). Same offset
-/// basis and prime as `cold-ckpt`'s byte-wise `fnv1a64`, but consuming
-/// 8 bytes per multiply: the hash is a serial dependency chain, and at
-/// artifact sizes (hundreds of MiB) a byte-at-a-time walk would dominate
-/// the very load path this format exists to make fast.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One FNV-1a64 step over a whole 64-bit word. Same offset basis and
+/// prime as `cold-ckpt`'s byte-wise `fnv1a64`, but consuming 8 bytes per
+/// multiply: the hash is a serial dependency chain, and at artifact sizes
+/// (hundreds of MiB) a byte-at-a-time walk would dominate the load.
+fn fnv1a64_step(hash: u64, word: u64) -> u64 {
+    (hash ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// FNV-1a64 over `bytes` viewed as little-endian 64-bit words. An
+/// artifact is always whole words, so there is no tail to pad.
 fn fnv1a64_words(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut chunks = bytes.chunks_exact(8);
-    for ch in &mut chunks {
-        hash ^= u64::from_le_bytes(ch.try_into().expect("8-byte chunk"));
-        hash = hash.wrapping_mul(PRIME);
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        hash ^= u64::from_le_bytes(tail);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
+    debug_assert_eq!(bytes.len() % 8, 0, "artifact bodies are whole words");
+    bytes.chunks_exact(8).fold(FNV_OFFSET, |hash, ch| {
+        fnv1a64_step(
+            hash,
+            u64::from_le_bytes(ch.try_into().expect("8-byte chunk")),
+        )
+    })
 }
 
 /// Format version written into (and required of) the header.
 const MODEL_VERSION: u32 = 1;
 
 /// Header bytes: magic, version `u32`, reserved `u32`, six `u64` dims.
-pub(crate) const MODEL_HEADER_LEN: usize = 8 + 4 + 4 + 6 * 8;
+const MODEL_HEADER_LEN: usize = 8 + 4 + 4 + 6 * 8;
 
-/// Verified shape of a `cold-model/v1` artifact: where each probability
-/// table lives, in f64 cells from the start of the payload.
+/// Bytes read from the source per call while streaming the sections.
+const READ_CHUNK: usize = 1 << 16;
+
+/// Decode a `cold-model/v1` artifact of `len` bytes from `src`.
 ///
-/// Produced only by [`verify_artifact`], so holding one means the bytes
-/// passed magic, version, checksum and section-length validation — the
-/// zero-copy [`crate::view::ModelView`] relies on that to hand out
-/// slices without per-read checks.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ArtifactLayout {
-    /// Model dimensions from the header.
-    pub dims: Dims,
-    /// Number of averaged Gibbs samples from the header.
-    pub samples: usize,
-    /// Section lengths in f64 cells, in `π, θ, η, φ, ψ` order.
-    pub section_lens: [usize; 5],
-}
-
-impl ArtifactLayout {
-    /// Start of section `s` in f64 cells from the payload start.
-    pub fn section_start(&self, s: usize) -> usize {
-        self.section_lens[..s].iter().sum()
-    }
-}
-
-/// Validate a `cold-model/v1` byte string end to end — magic, truncation,
-/// version, checksum footer, then header dims and the section lengths
-/// they imply — and return the layout. Shared by the parsing loader
-/// ([`ColdModel::from_binary`]) and the zero-copy view, so the two paths
-/// can never drift in what they accept.
-pub(crate) fn verify_artifact(bytes: &[u8]) -> Result<ArtifactLayout, PersistError> {
+/// The one decoder behind [`ColdModel::open`] and
+/// [`ColdModel::from_binary`]. In order: the header (magic, version,
+/// non-zero dims, `U ≤ u32::MAX`); the section lengths the dims imply, in
+/// checked arithmetic, against `len` minus header and footer — nothing is
+/// allocated from the header before that check passes; each section
+/// streamed into its table while the words are hashed; and finally the
+/// checksum footer, after which the source must be exhausted.
+fn decode(mut src: impl Read, len: u64) -> Result<ColdModel, PersistError> {
     let bad = |msg: String| PersistError::Format(msg);
-    if !bytes.starts_with(&MODEL_MAGIC) {
+    let mut header = [0u8; MODEL_HEADER_LEN];
+    let head = len.min(MODEL_HEADER_LEN as u64) as usize;
+    read_exact(&mut src, &mut header[..head])?;
+    if !header[..head].starts_with(&MODEL_MAGIC) {
         return Err(bad("bad magic: not a cold-model/v1 artifact".into()));
     }
-    if bytes.len() < MODEL_HEADER_LEN + 8 {
+    if len < (MODEL_HEADER_LEN + 8) as u64 {
         return Err(bad(format!(
-            "cold-model/v1 artifact truncated: {} bytes is below the \
+            "cold-model/v1 artifact truncated: {len} bytes is below the \
              {}-byte header + footer minimum",
-            bytes.len(),
             MODEL_HEADER_LEN + 8
         )));
     }
     let u32_at =
-        |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4-byte slice"));
+        |off: usize| u32::from_le_bytes(header[off..off + 4].try_into().expect("4-byte slice"));
     let u64_at =
-        |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8-byte slice"));
+        |off: usize| u64::from_le_bytes(header[off..off + 8].try_into().expect("8-byte slice"));
     let version = u32_at(8);
     if version != MODEL_VERSION {
         return Err(bad(format!(
             "unsupported cold-model version {version} (expected {MODEL_VERSION})"
-        )));
-    }
-    // Checksum before trusting any length derived from the header.
-    let body = &bytes[..bytes.len() - 8];
-    let expected = u64_at(bytes.len() - 8);
-    let actual = fnv1a64_words(body);
-    if actual != expected {
-        return Err(bad(format!(
-            "checksum mismatch: footer says {expected:#018x}, body hashes to {actual:#018x}"
         )));
     }
     let [u, c, k, t, v] = [0, 1, 2, 3, 4].map(|i| u64_at(16 + 8 * i));
@@ -191,38 +168,80 @@ pub(crate) fn verify_artifact(bytes: &[u8]) -> Result<ArtifactLayout, PersistErr
             "header dims U={u} C={c} K={k} T={t} V={v} overflow a 64-bit payload length"
         )));
     };
-    let carried = (body.len() - MODEL_HEADER_LEN) as u64;
+    let carried = len - (MODEL_HEADER_LEN + 8) as u64;
     if payload != carried {
         return Err(bad(format!(
             "section length mismatch: dims imply {payload} payload bytes, file carries {carried}"
         )));
     }
-    // Every section fits in the bytes present, so each narrows losslessly.
-    let dims = Dims {
-        num_users: u as u32,
-        num_communities: c as usize,
-        num_topics: k as usize,
-        num_time_slices: t as usize,
-        vocab_size: v as usize,
-    };
-    let section_lens = lens.map(|len| len as usize);
-    Ok(ArtifactLayout {
-        dims,
+
+    // Every section fits in the bytes present, so each narrows losslessly
+    // and each allocation is bounded by the source's real length.
+    let mut hash = fnv1a64_words(&header);
+    let mut chunk = vec![0u8; payload.min(READ_CHUNK as u64) as usize];
+    let mut tables: [Vec<f64>; 5] = Default::default();
+    for (table, &cells) in tables.iter_mut().zip(&lens) {
+        table.reserve_exact(cells as usize);
+        let mut left = 8 * cells as usize;
+        while left > 0 {
+            let bytes = &mut chunk[..left.min(READ_CHUNK)];
+            read_exact(&mut src, bytes)?;
+            for word in bytes.chunks_exact(8) {
+                let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+                hash = fnv1a64_step(hash, word);
+                table.push(f64::from_bits(word));
+            }
+            left -= bytes.len();
+        }
+    }
+    let mut footer = [0u8; 8];
+    read_exact(&mut src, &mut footer)?;
+    let expected = u64::from_le_bytes(footer);
+    if hash != expected {
+        return Err(bad(format!(
+            "checksum mismatch: footer says {expected:#018x}, body hashes to {hash:#018x}"
+        )));
+    }
+    if src.read(&mut [0u8; 1])? != 0 {
+        return Err(bad(format!(
+            "section length mismatch: the source holds more than its {len} bytes"
+        )));
+    }
+    let [pi, theta, eta, phi, psi] = tables;
+    Ok(ColdModel {
+        dims: Dims {
+            num_users: u as u32,
+            num_communities: c as usize,
+            num_topics: k as usize,
+            num_time_slices: t as usize,
+            vocab_size: v as usize,
+        },
+        pi,
+        theta,
+        eta,
+        phi,
+        psi,
         samples,
-        section_lens,
+    })
+}
+
+/// `read_exact` that reports a source ending early — a file cut short
+/// while it was read — as a truncated artifact rather than an I/O fault.
+fn read_exact(src: &mut impl Read, buf: &mut [u8]) -> Result<(), PersistError> {
+    src.read_exact(buf).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => PersistError::Format(
+            "cold-model/v1 artifact truncated: the source ended before its length".into(),
+        ),
+        _ => PersistError::Io(e),
     })
 }
 
 impl ColdModel {
-    /// The five probability tables in artifact section order.
-    fn sections(&self) -> [&Vec<f64>; 5] {
-        [&self.pi, &self.theta, &self.eta, &self.phi, &self.psi]
-    }
-
     /// Serialize as a `cold-model/v1` byte string (see the module docs
     /// for the layout).
     pub fn to_binary(&self) -> Vec<u8> {
-        let cells: usize = self.sections().iter().map(|s| s.len()).sum();
+        let sections = [&self.pi, &self.theta, &self.eta, &self.phi, &self.psi];
+        let cells: usize = sections.iter().map(|s| s.len()).sum();
         let mut out = Vec::with_capacity(MODEL_HEADER_LEN + 8 * cells + 8);
         out.extend_from_slice(&MODEL_MAGIC);
         out.extend_from_slice(&MODEL_VERSION.to_le_bytes());
@@ -237,7 +256,7 @@ impl ColdModel {
         ] {
             out.extend_from_slice(&dim.to_le_bytes());
         }
-        for section in self.sections() {
+        for section in sections {
             for &x in section.iter() {
                 out.extend_from_slice(&x.to_le_bytes());
             }
@@ -247,29 +266,19 @@ impl ColdModel {
         out
     }
 
-    /// Parse a `cold-model/v1` byte string, verifying magic, version,
+    /// Decode a `cold-model/v1` byte string, verifying magic, version,
     /// section lengths and the checksum footer. Bit-exact: every `f64`
-    /// comes back from `from_le_bytes` untouched.
+    /// comes back from its little-endian bits untouched.
     pub fn from_binary(bytes: &[u8]) -> Result<Self, PersistError> {
-        let layout = verify_artifact(bytes)?;
-        let mut off = MODEL_HEADER_LEN;
-        let mut section = |len: usize| -> Vec<f64> {
-            let out = bytes[off..off + 8 * len]
-                .chunks_exact(8)
-                .map(|ch| f64::from_le_bytes(ch.try_into().expect("8-byte chunk")))
-                .collect();
-            off += 8 * len;
-            out
-        };
-        Ok(ColdModel {
-            dims: layout.dims,
-            pi: section(layout.section_lens[0]),
-            theta: section(layout.section_lens[1]),
-            eta: section(layout.section_lens[2]),
-            phi: section(layout.section_lens[3]),
-            psi: section(layout.section_lens[4]),
-            samples: layout.samples,
-        })
+        decode(bytes, bytes.len() as u64)
+    }
+
+    /// Open the `cold-model/v1` artifact at `path`, streaming it into the
+    /// tables with the same checks as [`from_binary`](Self::from_binary).
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, PersistError> {
+        let file = std::fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        decode(file, len)
     }
 
     /// Write the model to `path` as a `cold-model/v1` artifact,
@@ -290,11 +299,6 @@ impl ColdModel {
         _format: ModelFormat,
     ) -> Result<(), PersistError> {
         self.save(path)
-    }
-
-    /// Read a `cold-model/v1` artifact back from `path`.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        Self::from_binary(&std::fs::read(path)?)
     }
 }
 
@@ -328,7 +332,7 @@ mod tests {
             std::process::id()
         ));
         model.save(&path).unwrap();
-        let back = ColdModel::load(&path).unwrap();
+        let back = ColdModel::open(&path).unwrap();
         assert_eq!(back.user_memberships(0), model.user_memberships(0));
         std::fs::remove_file(&path).ok();
     }
@@ -343,7 +347,7 @@ mod tests {
         let path = dir.join("model.cold");
         std::fs::write(&path, "{stale garbage").unwrap();
         model.save(&path).unwrap();
-        let back = ColdModel::load(&path).unwrap();
+        let back = ColdModel::open(&path).unwrap();
         assert_eq!(back.num_samples(), model.num_samples());
         let names: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -355,7 +359,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_an_io_error() {
-        let err = ColdModel::load("/definitely/not/here.cold").unwrap_err();
+        let err = ColdModel::open("/definitely/not/here.cold").unwrap_err();
         assert!(matches!(err, PersistError::Io(_)));
     }
 
@@ -400,10 +404,10 @@ mod tests {
         // Sub-header truncation.
         let err = ColdModel::from_binary(&bytes[..16]).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
-        // A lost tail invalidates the checksum (the footer is now section
-        // bytes, and the hashed body shrank).
+        // A lost footer fails the length check, before any section is
+        // read or allocated.
         let err = ColdModel::from_binary(&bytes[..bytes.len() - 8]).unwrap_err();
-        assert!(matches!(err, PersistError::Format(_)));
+        assert!(err.to_string().contains("section length"), "{err}");
     }
 
     #[test]
@@ -427,5 +431,21 @@ mod tests {
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         let err = ColdModel::from_binary(&bytes).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    /// The decoder reads exactly the promised bytes: a source that ends
+    /// early is a truncated artifact, and one that runs past its length
+    /// (a file that grew while it was read) is rejected too.
+    #[test]
+    fn the_source_must_hold_exactly_its_length() {
+        let bytes = fitted().to_binary();
+        let short = &bytes[..bytes.len() - 3];
+        let err = decode(short, bytes.len() as u64).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
+        let mut long = bytes.clone();
+        long.push(0);
+        let err = decode(&long[..], bytes.len() as u64).unwrap_err();
+        assert!(err.to_string().contains("section length"), "{err}");
+        assert!(decode(&bytes[..], bytes.len() as u64).is_ok());
     }
 }

@@ -13,8 +13,7 @@
 //!
 //! The predictor is generic over [`ModelRead`], so it runs identically over
 //! an owned [`ColdModel`](crate::estimates::ColdModel), a borrowed one, or
-//! an `Arc`-shared zero-copy [`ModelView`](crate::view::ModelView) inside a
-//! server. Every id that reaches a query method is validated and rejected
+//! an `Arc`-shared one inside a server. Every id that reaches a query method is validated and rejected
 //! with a [`PredictError`] — nothing on this path panics on untrusted
 //! input, which is what lets `cold-serve` map failures to HTTP 400 instead
 //! of dying.

@@ -1,25 +1,75 @@
 //! Fuzz the `cold-model/v1` decoder. Artifacts arrive from disk and from
 //! `/reload` requests, and the FNV-1a footer catches torn files, not
 //! crafted ones: anyone can re-stamp it over any header. So no byte
-//! string may panic `ColdModel::from_binary` or `ModelView::open`. Each
-//! case starts from a valid artifact and mutates it one way: bit flips,
-//! truncation, or header dims rewritten under a re-stamped checksum
-//! (products that overflow, products that wrap onto the real payload
-//! length, a user count past `u32::MAX`, zeros, and other factorizations
-//! of the real length). Every input must either fail both decoders with
-//! a typed error, or round-trip bit-exact through both and then build a
-//! `DiffusionPredictor` (or fail with a `PredictError`). A failing case
-//! prints its seed; `COLD_PROPTEST_SEED=<seed>` replays it.
+//! string may panic either entry point, `ColdModel::from_binary` (a
+//! slice) or `ColdModel::open` (a file), or make it allocate more than
+//! the input's own length. Each case starts from a valid artifact and
+//! mutates it one way: bit flips, truncation, or header dims rewritten
+//! under a re-stamped checksum (products that overflow, products that
+//! wrap onto the real payload length, a user count past `u32::MAX`,
+//! zeros, and other factorizations of the real length). Every input
+//! must either fail both entry points with a typed error, or round-trip
+//! bit-exact through both and then build a `DiffusionPredictor` (or fail
+//! with a `PredictError`). A failing case prints its seed;
+//! `COLD_PROPTEST_SEED=<seed>` replays it.
 
-use cold_core::{
-    ColdConfig, ColdModel, DiffusionPredictor, GibbsSampler, ModelRead, ModelView, PersistError,
-};
+use cold_core::{ColdConfig, ColdModel, DiffusionPredictor, GibbsSampler, PersistError};
 use cold_graph::CsrGraph;
 use cold_text::CorpusBuilder;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::OnceLock;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::{Arc, OnceLock};
+
+/// The system allocator, recording the largest single request made on
+/// the current thread since the last [`take_peak`].
+struct PeakAlloc;
+
+thread_local! {
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
+}
+
+fn take_peak() -> usize {
+    PEAK.with(|p| p.replace(0))
+}
+
+// SAFETY: every call is forwarded unchanged to `System`.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+/// What any single allocation while decoding `len` bytes may reach: a
+/// table or the read buffer (each at most `len`), or a short error
+/// message. A buffer sized from a hostile header exceeds it.
+fn alloc_bound(len: usize) -> usize {
+    len.max(1024)
+}
 
 /// Header bytes before the payload; the dims sit at 16, 24, …, 56.
 const HEADER: usize = 64;
@@ -137,30 +187,36 @@ fn check(bytes: &[u8]) -> Result<(), TestCaseError> {
         std::thread::current().id()
     ));
     std::fs::write(&path, bytes).expect("write artifact");
-    let decoded = (ColdModel::from_binary(bytes), ModelView::open(&path));
+    take_peak();
+    let from_slice = ColdModel::from_binary(bytes);
+    let slice_peak = take_peak();
+    let from_file = ColdModel::open(&path);
+    let file_peak = take_peak();
     std::fs::remove_file(&path).ok();
-    match decoded {
+    for (entry, peak) in [("from_binary", slice_peak), ("open", file_peak)] {
+        prop_assert!(
+            peak <= alloc_bound(bytes.len()),
+            "{} allocated {} bytes at once for a {}-byte input",
+            entry,
+            peak,
+            bytes.len()
+        );
+    }
+    match (from_slice, from_file) {
         (Err(PersistError::Format(_)), Err(PersistError::Format(_))) => Ok(()),
-        (Ok(model), Ok(view)) => {
-            prop_assert!(model.to_binary() == bytes, "round trip is not bit-exact");
-            let dims = model.dims();
-            prop_assert_eq!(view.dims(), dims);
-            prop_assert_eq!(view.num_samples(), model.num_samples());
-            for user in 0..dims.num_users {
-                prop_assert!(view.user_memberships(user) == model.user_memberships(user));
-            }
-            for topic in 0..dims.num_topics {
-                prop_assert!(view.topic_words(topic) == model.topic_words(topic));
-            }
+        (Ok(sliced), Ok(opened)) => {
+            prop_assert!(sliced.to_binary() == bytes, "from_binary is not bit-exact");
+            prop_assert!(opened.to_binary() == bytes, "open is not bit-exact");
+            let users = opened.dims().num_users;
             // A `PredictError` is a typed outcome too; only a panic fails.
-            let _ = DiffusionPredictor::new(view, 2)
-                .and_then(|predictor| predictor.diffusion_score(0, dims.num_users - 1, &[0]));
+            let _ = DiffusionPredictor::new(Arc::new(opened), 2)
+                .and_then(|predictor| predictor.diffusion_score(0, users - 1, &[0]));
             Ok(())
         }
-        (model, view) => Err(TestCaseError::Fail(format!(
-            "decoders disagree or fail untyped: from_binary {:?}, ModelView::open {:?}",
-            model.map(|m| m.dims()),
-            view.map(|v| v.dims())
+        (sliced, opened) => Err(TestCaseError::Fail(format!(
+            "entry points disagree or fail untyped: from_binary {:?}, open {:?}",
+            sliced.map(|m| m.dims()),
+            opened.map(|m| m.dims())
         ))),
     }
 }

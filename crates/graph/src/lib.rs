@@ -8,8 +8,6 @@
 //!   both out- and in-adjacency, the storage every model in the workspace
 //!   trains against.
 //! * [`builder::GraphBuilder`] — incremental, deduplicating construction.
-//! * [`generators`] — stochastic-block / Erdős–Rényi generators used by the
-//!   synthetic dataset substrate and by tests.
 //! * [`sampling`] — positive/negative link sampling for the link-prediction
 //!   evaluation (§6.2 of the paper holds out 20% of positives and 1% of
 //!   negatives).
@@ -17,7 +15,6 @@
 
 pub mod builder;
 pub mod csr;
-pub mod generators;
 pub mod sampling;
 pub mod stats;
 

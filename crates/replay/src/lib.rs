@@ -46,6 +46,9 @@ pub const STATE_FAMILIES: [&str; 11] = [
 /// family exactly: `(mirror, source)`.
 pub const DERIVED_FAMILIES: [(&str, &str); 2] = [("n_vk", "n_kv"), ("n_post_k", "n_ck")];
 
+/// Most missing shards a `MissingDelta` violation names.
+const MISSING_LISTED: usize = 8;
+
 /// What a trace did wrong.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViolationKind {
@@ -310,6 +313,13 @@ impl ReplayModel {
                 format!("unknown sync mode \"{sync}\""),
             ));
         }
+        if sweep == u64::MAX {
+            return Err(violation(
+                ev,
+                ViolationKind::Malformed,
+                "superstep_begin at sweep u64::MAX leaves no next sweep",
+            ));
+        }
         if let Some(expected) = self.expected_sweep {
             if sweep != expected {
                 return Err(violation(
@@ -353,16 +363,20 @@ impl ReplayModel {
         req_uint(ev, "bytes")?;
         let digest = req_hex(ev, "digest")?;
         let mut nets = BTreeMap::new();
-        let mut cell_total = 0u64;
+        let mut cell_total = Some(0u64);
         for fam in DELTA_FAMILIES {
-            cell_total += req_uint(ev, &format!("cells_{fam}"))?;
+            let fam_cells = req_uint(ev, &format!("cells_{fam}"))?;
+            cell_total = cell_total.and_then(|total| total.checked_add(fam_cells));
             nets.insert(fam.to_owned(), req_int(ev, &format!("net_{fam}"))?);
         }
-        if cell_total != cells {
+        if cell_total != Some(cells) {
             return Err(violation(
                 ev,
                 ViolationKind::Malformed,
-                format!("per-family cells sum to {cell_total}, summary says {cells}"),
+                match cell_total {
+                    Some(total) => format!("per-family cells sum to {total}, summary says {cells}"),
+                    None => "per-family cells overflow a 64-bit count".to_owned(),
+                },
             ));
         }
         let open = self.open.as_mut().ok_or_else(|| {
@@ -502,13 +516,20 @@ impl ReplayModel {
         }
         if open.sync == "delta" {
             if open.announced.len() as u64 != open.shards {
+                // The shard count comes from the trace: name the first few
+                // missing shards rather than walk all of them.
                 let missing: Vec<u64> = (0..open.shards)
                     .filter(|s| !open.announced.contains_key(s))
+                    .take(MISSING_LISTED)
                     .collect();
                 return Err(violation(
                     ev,
                     ViolationKind::MissingDelta,
-                    format!("shards {missing:?} never announced a delta for sweep {sweep}"),
+                    format!(
+                        "{} of {} shards never announced a delta for sweep {sweep}; first {missing:?}",
+                        open.shards - open.announced.len() as u64,
+                        open.shards
+                    ),
                 ));
             }
             if open.applied.len() != open.announced.len() {

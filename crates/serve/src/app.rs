@@ -1,7 +1,7 @@
 //! Endpoint logic: the model-facing half of `cold-serve`.
 //!
 //! [`App`] owns everything request handlers need — the shared
-//! [`ModelView`], the precomputed [`DiffusionPredictor`], the per-topic
+//! [`ColdModel`], the precomputed [`DiffusionPredictor`], the per-topic
 //! influencer rankings, the optional vocabulary, and the metrics handle —
 //! and exposes one method per endpoint returning `(status, json)`.
 //! Transport (sockets, framing, the reloader) lives in
@@ -9,7 +9,7 @@
 //! makes it unit-testable.
 
 use crate::http::json_escape;
-use cold_core::{DiffusionPredictor, ModelRead, ModelView, PersistError, PredictError};
+use cold_core::{ColdModel, DiffusionPredictor, ModelRead, PersistError, PredictError};
 use cold_obs::Metrics;
 use cold_text::WordId;
 use serde::{Deserialize, Value};
@@ -99,8 +99,8 @@ struct RankedUser {
 /// `Arc<App>` for their whole lifetime, so in-flight work always
 /// finishes on the model it started with.
 pub struct App {
-    view: Arc<ModelView>,
-    predictor: DiffusionPredictor<Arc<ModelView>>,
+    model: Arc<ColdModel>,
+    predictor: DiffusionPredictor<Arc<ColdModel>>,
     /// Per-topic top users by aggregate outgoing influence, best first.
     rank: Vec<Vec<RankedUser>>,
     /// `top_comm` this app was built with (reload reuses it).
@@ -127,40 +127,58 @@ impl App {
         vocab: Option<HashMap<String, WordId>>,
         metrics: Metrics,
     ) -> Result<Self, ServeError> {
-        let path_str = model_path.as_ref().display().to_string();
-        let t0 = metrics.start();
-        let view = Arc::new(
-            ModelView::open(&model_path).map_err(|source| ServeError::Model {
-                path: path_str.clone(),
-                source,
-            })?,
-        );
-        metrics.observe_since("serve.model_open_seconds", t0);
+        let path = model_path.as_ref().display().to_string();
+        let model = Self::open_model(&path, &metrics)?;
+        Self::build(model, path, top_comm, rank_depth, vocab, metrics)
+    }
 
+    /// Open and verify the artifact at `path`, timed into
+    /// `serve.model_open_seconds`.
+    fn open_model(path: &str, metrics: &Metrics) -> Result<ColdModel, ServeError> {
+        let t0 = metrics.start();
+        let model = ColdModel::open(path).map_err(|source| ServeError::Model {
+            path: path.to_owned(),
+            source,
+        })?;
+        metrics.observe_since("serve.model_open_seconds", t0);
+        Ok(model)
+    }
+
+    /// Precompute the predictor tables and the per-topic influencer
+    /// rankings over an opened model.
+    fn build(
+        model: ColdModel,
+        model_path: String,
+        top_comm: usize,
+        rank_depth: usize,
+        vocab: Option<HashMap<String, WordId>>,
+        metrics: Metrics,
+    ) -> Result<Self, ServeError> {
+        let model = Arc::new(model);
         let t0 = metrics.start();
         let predictor =
-            DiffusionPredictor::with_metrics(Arc::clone(&view), top_comm, metrics.clone())
+            DiffusionPredictor::with_metrics(Arc::clone(&model), top_comm, metrics.clone())
                 .map_err(ServeError::Predict)?;
         metrics.observe_since("serve.precompute_seconds", t0);
 
         let t0 = metrics.start();
-        let rank = build_rankings(&*view, &predictor, rank_depth);
+        let rank = build_rankings(&model, &predictor, rank_depth);
         metrics.observe_since("serve.rank_precompute_seconds", t0);
 
-        let dims = view.dims();
+        let dims = model.dims();
         metrics.gauge_set("serve.model_users", f64::from(dims.num_users));
         metrics.gauge_set("serve.model_communities", dims.num_communities as f64);
         metrics.gauge_set("serve.model_topics", dims.num_topics as f64);
 
         Ok(Self {
-            view,
+            model,
             predictor,
             rank,
             top_comm,
             rank_depth,
             vocab,
             metrics,
-            model_path: path_str,
+            model_path,
             started: Instant::now(),
         })
     }
@@ -176,7 +194,7 @@ impl App {
     }
 
     /// The predictor (the event loops score through it directly).
-    pub fn predictor(&self) -> &DiffusionPredictor<Arc<ModelView>> {
+    pub fn predictor(&self) -> &DiffusionPredictor<Arc<ColdModel>> {
         &self.predictor
     }
 
@@ -263,7 +281,7 @@ impl App {
             Ok(p) => p,
             Err(msg) => return error_json(400, &msg),
         };
-        let num_topics = self.view.dims().num_topics;
+        let num_topics = self.model.dims().num_topics;
         if topic >= num_topics {
             return error_json(
                 400,
@@ -303,7 +321,7 @@ impl App {
             Ok(t) => t,
             Err(e) => return error_json(400, &e.to_string()),
         };
-        let memberships = self.view.user_memberships(user);
+        let memberships = self.model.user_memberships(user);
         let top_json: Vec<String> = top.iter().map(|c| c.to_string()).collect();
         let pi_json: Vec<String> = memberships.iter().map(|&p| f64_json(p)).collect();
         (
@@ -323,7 +341,7 @@ impl App {
     /// into a `503` so load balancers stop routing here — the surviving
     /// loops keep answering what they still can.
     pub fn healthz(&self, generation: u64, degraded: bool) -> JsonResponse {
-        let d = self.view.dims();
+        let d = self.model.dims();
         let (status, word) = if degraded {
             (503, "degraded")
         } else {
@@ -343,7 +361,7 @@ impl App {
                 d.num_topics,
                 d.num_time_slices,
                 d.vocab_size,
-                self.view.num_samples(),
+                self.model.num_samples(),
                 f64_json(self.started.elapsed().as_secs_f64()),
             ),
         )
@@ -386,7 +404,7 @@ pub struct ReloadOutcome {
 /// loops' point of view and in-flight requests keep the model they
 /// started with. [`AppSlot::reload`] builds the replacement *outside*
 /// that lock — traffic keeps flowing on the old model during the
-/// (potentially seconds-long) verify + precompute — and only a fully
+/// (potentially seconds-long) open + precompute — and only a fully
 /// validated app is ever swapped in. A corrupt, truncated, or
 /// dimension-skewed artifact is rejected with the old model still
 /// serving. Every reload the server runs itself (`POST /reload`,
@@ -396,7 +414,7 @@ pub struct AppSlot {
     /// Completed reloads; also published as the `serve.model_generation`
     /// gauge and in `/healthz`.
     generation: AtomicU64,
-    /// Serializes reloads end to end (verify → build → swap) so two
+    /// Serializes reloads end to end (open → build → swap) so two
     /// concurrent `/reload`s cannot interleave their swaps.
     reload_lock: Mutex<()>,
     metrics: Metrics,
@@ -434,11 +452,13 @@ impl AppSlot {
     /// Re-open the serving artifact (or `new_path`) into a fresh [`App`]
     /// and atomically swap it in.
     ///
-    /// The new artifact is re-verified first ([`ModelView::verify_file`]:
-    /// the `cold-model/v1` header, length and checksum) and, when a
+    /// The artifact is opened once ([`ColdModel::open`] checks the
+    /// `cold-model/v1` header, length and checksum) and, when a
     /// vocabulary is attached, must keep the old model's vocab axis —
-    /// `/predict`'s string→id map would otherwise silently mis-resolve. Any failure leaves the old model serving and
-    /// returns the reason (the transport answers `409`).
+    /// `/predict`'s string→id map would otherwise silently mis-resolve.
+    /// Only then are the predictor and ranking tables built. Any failure
+    /// leaves the old model serving and returns the reason (the transport
+    /// answers `409`).
     pub fn reload(&self, new_path: Option<&str>) -> Result<ReloadOutcome, String> {
         let _guard = self
             .reload_lock
@@ -459,24 +479,25 @@ impl AppSlot {
     }
 
     fn reload_inner(&self, old: &App, path: &str) -> Result<ReloadOutcome, String> {
-        let dims = ModelView::verify_file(path).map_err(|e| format!("artifact rejected: {e}"))?;
-        if old.vocab.is_some() && dims.vocab_size != old.view.dims().vocab_size {
+        let rejected = |e: ServeError| format!("artifact rejected: {e}");
+        let model = App::open_model(path, &self.metrics).map_err(rejected)?;
+        let (old_vocab, new_vocab) = (old.model.dims().vocab_size, model.dims().vocab_size);
+        if old.vocab.is_some() && new_vocab != old_vocab {
             return Err(format!(
-                "artifact rejected: vocab axis changed from {} to {} but the server's \
-                 word→id vocabulary is fixed at startup (restart with matching --data)",
-                old.view.dims().vocab_size,
-                dims.vocab_size,
+                "artifact rejected: vocab axis changed from {old_vocab} to {new_vocab} but the \
+                 server's word→id vocabulary is fixed at startup (restart with matching --data)",
             ));
         }
-        let app = App::load(
-            path,
+        let app = App::build(
+            model,
+            path.to_owned(),
             old.top_comm,
             old.rank_depth,
             old.vocab.clone(),
             self.metrics.clone(),
         )
-        .map_err(|e| format!("artifact rejected: {e}"))?;
-        let users = app.view.dims().num_users;
+        .map_err(rejected)?;
+        let users = app.model.dims().num_users;
         *self.current.lock().unwrap_or_else(PoisonError::into_inner) = Arc::new(app);
         let generation = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
         self.metrics
@@ -498,12 +519,12 @@ impl AppSlot {
 /// fold, the top-`depth` selection) happens once at load; `/rank-
 /// influencers` then answers from the table (the ADR-style
 /// coarse-at-load / fine-per-request split).
-fn build_rankings<M: ModelRead>(
-    view: &M,
-    predictor: &DiffusionPredictor<Arc<ModelView>>,
+fn build_rankings(
+    model: &ColdModel,
+    predictor: &DiffusionPredictor<Arc<ColdModel>>,
     depth: usize,
 ) -> Vec<Vec<RankedUser>> {
-    let dims = view.dims();
+    let dims = model.dims();
     let (u, c, k) = (
         dims.num_users as usize,
         dims.num_communities,
@@ -512,10 +533,10 @@ fn build_rankings<M: ModelRead>(
     // z_kc = Σ_c' ζ_kcc'
     let mut z = vec![0.0f64; k * c];
     for ci in 0..c {
-        let theta_i = view.community_topics(ci);
+        let theta_i = model.community_topics(ci);
         for cj in 0..c {
-            let theta_j = view.community_topics(cj);
-            let e = view.eta(ci, cj);
+            let theta_j = model.community_topics(cj);
+            let e = model.eta(ci, cj);
             for (kk, zk) in z.chunks_exact_mut(c).enumerate() {
                 zk[ci] += theta_i[kk] * theta_j[kk] * e;
             }
@@ -529,7 +550,7 @@ fn build_rankings<M: ModelRead>(
         let zk = &z[kk * c..(kk + 1) * c];
         scored.clear();
         scored.extend((0..u).map(|i| {
-            let pi = view.user_memberships(i as u32);
+            let pi = model.user_memberships(i as u32);
             let top = predictor
                 .top_communities(i as u32)
                 .expect("user index in range");

@@ -1,7 +1,7 @@
 //! # cold-serve — an HTTP prediction API over a fitted COLD model
 //!
-//! Turns a trained model (ideally the `cold-model/v1` binary artifact,
-//! opened zero-copy through [`cold_core::ModelView`]) into a long-running
+//! Turns a trained model (a `cold-model/v1` artifact, opened through
+//! [`cold_core::ColdModel::open`]) into a long-running
 //! prediction service, hand-rolled over `std::net` — the build
 //! environment has no crates.io, and the workspace's no-external-deps
 //! rule holds for the server too.
@@ -27,7 +27,7 @@
 //!
 //! ## Shape
 //!
-//! [`app::App`] holds the loaded state (model view, predictor with the
+//! [`app::App`] holds the loaded state (the model, the predictor with the
 //! precomputed `ζ` tensor and `TopComm` caches, per-topic influencer
 //! rankings); [`server::Server`] owns the sockets. A few epoll event loops
 //! ([`ServeConfig::io_threads`], Linux) multiplex every connection over a

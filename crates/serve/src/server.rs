@@ -41,7 +41,6 @@
 
 use crate::app::{App, AppSlot, ServeError};
 use crate::http::{self, Request};
-use cold_core::ModelView;
 use cold_obs::Metrics;
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -449,25 +448,23 @@ impl Watch {
         }
     }
 
-    /// When the serving artifact changed, re-verify and hot-reload it
-    /// through the [`AppSlot`]. A half-copied or corrupt file is retried
-    /// on the next change of its stat signature, never swapped in.
+    /// When the serving artifact changed, hot-reload it through
+    /// [`AppSlot::reload`], which opens it once. A half-copied or corrupt
+    /// file counts as a failed reload and is retried on the next change
+    /// of its stat signature, never swapped in.
     fn poll(&mut self, slot: &AppSlot) {
         self.due = Instant::now() + self.interval;
-        let path = slot.current().model_path().to_owned();
-        let now = stat_sig(&path);
+        let now = stat_sig(slot.current().model_path());
         if now.is_none() || now == self.last || now == self.last_rejected {
             return;
         }
-        // Cheap verification first: a copy still in flight fails the
-        // checksum and is retried once its stat signature changes again.
-        match ModelView::verify_file(&path).map(|_| slot.reload(None)) {
-            Ok(Ok(_)) => {
+        match slot.reload(None) {
+            Ok(_) => {
                 slot.metrics().counter_add("serve.watch_reloads", 1);
                 self.last = now;
                 self.last_rejected = None;
             }
-            _ => self.last_rejected = now,
+            Err(_) => self.last_rejected = now,
         }
     }
 }

@@ -3,13 +3,18 @@
 //! under concurrent load (every in-flight request finishes on the model
 //! it started with, and per-connection score streams are a clean
 //! old-prefix/new-suffix); a corrupt or dimension-skewed artifact is
-//! rejected with the old model still serving.
+//! rejected with the old model still serving and no predictor built for
+//! it; a watched file that turns corrupt is rejected once, not retried
+//! in a loop, and the next good file swaps in.
 #![cfg(target_os = "linux")]
 
 mod common;
 
 use cold_serve::HttpClient;
-use common::{json, model_file, num, predict_score, skewed_model_file, TestServer, PREDICT};
+use common::{
+    histogram_count_in, json, model_file, num, predict_score, skewed_model_file, TestServer,
+    PREDICT,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -118,11 +123,31 @@ fn corrupt_and_skewed_reloads_are_rejected_epoll() {
     let r = c.post("/reload", "{\"model\":42}").unwrap();
     assert_eq!(r.status, 400, "{}", r.body);
 
+    // None of the rejected artifacts reached the predictor precompute:
+    // its one observation is the boot.
+    let metrics = ts.client().get("/metrics").unwrap().body;
+    assert_eq!(histogram_count_in(&metrics, "serve.precompute_seconds"), 1);
+
+    // Same length, one payload byte flipped: only the checksum at the end
+    // of the stream keeps it out of the tables.
+    let mut flipped_bytes = bytes.clone();
+    flipped_bytes[bytes.len() / 2] ^= 0x10;
+    let flipped = ts.dir.join("flipped.cold");
+    std::fs::write(&flipped, &flipped_bytes).unwrap();
+    let r = c
+        .post(
+            "/reload",
+            &format!("{{\"model\":\"{}\"}}", flipped.display()),
+        )
+        .unwrap();
+    assert_eq!(r.status, 409, "{}", r.body);
+    assert!(r.body.contains("checksum"), "{}", r.body);
+
     // Through all of it the old model kept serving, bit-identically.
     assert_eq!(predict_score(&mut c), score_a);
     let h = json(&ts.client().get("/healthz").unwrap().body);
     assert_eq!(num(h.get("generation").unwrap()) as u64, 0);
-    assert_eq!(ts.counter("serve.reloads_failed"), 3);
+    assert_eq!(ts.counter("serve.reloads_failed"), 4);
     assert_eq!(ts.counter("serve.reloads_ok"), 0);
 }
 
@@ -156,4 +181,43 @@ fn watch_model_picks_up_a_replaced_artifact_epoll() {
     assert_eq!(ts.counter("serve.watch_reloads"), 1);
     let h = json(&ts.client().get("/healthz").unwrap().body);
     assert_eq!(num(h.get("generation").unwrap()) as u64, 1);
+}
+
+#[test]
+fn watch_model_rejects_a_corrupt_artifact_once_then_takes_a_good_one_epoll() {
+    let interval = Duration::from_millis(100);
+    let ts = TestServer::start("watch_corrupt", |c| c.watch_model = Some(interval));
+    let mut c = ts.client();
+    let score_a = predict_score(&mut c);
+
+    // A corrupt artifact lands over the served path in one rename. Its
+    // footer byte is flipped, so its stat signature (which reads the
+    // footer) differs from the served file's whatever the mtime tick.
+    let mut bytes = std::fs::read(&ts.model).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x01;
+    let staged = ts.dir.join("corrupt.staged");
+    std::fs::write(&staged, &bytes).unwrap();
+    std::fs::rename(&staged, &ts.model).unwrap();
+
+    // The watch rejects it once and then leaves the unchanged file alone
+    // for many poll intervals; the old model keeps serving.
+    assert_eq!(
+        ts.wait_counter("serve.reloads_failed", 1, Duration::from_secs(15)),
+        1
+    );
+    std::thread::sleep(10 * interval);
+    assert_eq!(ts.counter("serve.reloads_failed"), 1, "the watch retried");
+    assert_eq!(predict_score(&mut c), score_a);
+
+    // A good artifact then swaps in.
+    let good = model_file(&ts.dir, "good.staged", 77);
+    std::fs::rename(&good, &ts.model).unwrap();
+    assert_eq!(
+        ts.wait_counter("serve.watch_reloads", 1, Duration::from_secs(15)),
+        1
+    );
+    assert_ne!(predict_score(&mut ts.client()), score_a);
+    assert_eq!(ts.counter("serve.reloads_failed"), 1);
+    assert_eq!(ts.counter("serve.reloads_ok"), 1);
 }

@@ -162,9 +162,10 @@ echo "all endpoints answered; server drained to a clean exit"
 
 # chaos-smoke — the robustness contract end to end on a real process:
 # healthy clients keep getting bit-identical answers while seeded network
-# faults and a contained handler panic land concurrently; a corrupt
-# /reload is rejected with the old model still serving; a valid /reload
-# swaps generations; and the server still drains to a clean exit 0.
+# faults and a contained handler panic land concurrently; a truncated
+# and a same-length flipped-byte /reload are rejected with the old model
+# still serving; a valid /reload swaps generations; and the server still
+# drains to a clean exit 0.
 echo "== chaos-smoke (seeded faults + handler panic + reload under a live server) =="
 CHAOS_PORT=18396
 cargo run -q --release -p cold-cli -- serve \
@@ -194,6 +195,30 @@ fi
 after=$(curl -sf -X POST "$cbase/predict" -d '{"publisher":0,"consumer":1,"words":[0]}')
 if [ "$ref" != "$after" ]; then
   echo "answer changed after a rejected reload: $ref -> $after" >&2
+  exit 1
+fi
+# Same length, one mid-file byte flipped: only the checksum at the end of
+# the stream keeps it from the tables.
+flipped="$SMOKE_DIR/model_flipped.cold"
+cp "$SMOKE_DIR/model_sparse.cold" "$flipped"
+mid=$(( $(wc -c < "$flipped") / 2 ))
+byte=$(od -An -tu1 -j "$mid" -N1 "$flipped" | tr -d ' ')
+printf "\\$(printf '%03o' $(( byte ^ 1 )))" \
+  | dd of="$flipped" bs=1 seek="$mid" conv=notrunc status=none
+if [ "$(wc -c < "$flipped")" != "$(wc -c < "$SMOKE_DIR/model_sparse.cold")" ] \
+  || cmp -s "$flipped" "$SMOKE_DIR/model_sparse.cold"; then
+  echo "the flipped-byte artifact is not a same-length corruption" >&2
+  exit 1
+fi
+st=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$cbase/reload" \
+  -d "{\"model\":\"$flipped\"}")
+if [ "$st" != "409" ]; then
+  echo "flipped-byte reload returned HTTP $st, wanted 409" >&2
+  exit 1
+fi
+after=$(curl -sf -X POST "$cbase/predict" -d '{"publisher":0,"consumer":1,"words":[0]}')
+if [ "$ref" != "$after" ]; then
+  echo "answer changed after a rejected checksum: $ref -> $after" >&2
   exit 1
 fi
 # A valid artifact hot-swaps in (same bytes here, so same answers).
@@ -229,7 +254,7 @@ curl -sf -X POST "$cbase/predict" -d '{"publisher":0,"consumer":1,"words":[0]}' 
 curl -sf -X POST "$cbase/shutdown" | grep -q 'shutting down'
 wait "$chaos_pid"
 grep -q "drained and stopped" "$SMOKE_DIR/chaos_serve.log"
-echo "chaos mix survived; corrupt reload rejected; valid reload swapped; dead loop routed around; clean drain"
+echo "chaos mix survived; truncated and flipped-byte reloads rejected; valid reload swapped; dead loop routed around; clean drain"
 
 echo "== bench_serve --quick =="
 cargo run -q --release -p cold-bench --bin bench_serve -- --quick
